@@ -180,8 +180,11 @@ func TestCatchingUpRefusalFallsThrough(t *testing.T) {
 		}
 	}
 	// Direct probe of the refusing site surfaces ErrCatchingUp.
-	out := h.cli.readLevelSequential(ctx, []transport.Addr{2}, 1, "k", false, nil, false)
-	if !errors.Is(out.err, ErrCatchingUp) {
-		t.Errorf("direct probe err = %v, want ErrCatchingUp", out.err)
+	resp, err := h.cli.caller.Call(ctx, 2, replica.ReadReq{Key: "k"})
+	if err == nil {
+		_, _, _, err = h.cli.decodeProbe(2, resp)
+	}
+	if !errors.Is(err, ErrCatchingUp) {
+		t.Errorf("direct probe err = %v, want ErrCatchingUp", err)
 	}
 }

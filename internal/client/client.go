@@ -212,8 +212,6 @@ type instruments struct {
 	ops                       *obs.CounterVec // labels: op, outcome
 	readOK, readNotFound      *obs.Counter
 	readUnavailable           *obs.Counter
-	writeOK, writeInDoubt     *obs.Counter
-	writeUnavailable          *obs.Counter
 	pingOK                    *obs.Counter
 	siteFallbacks             *obs.Counter
 	levelFallbacks            *obs.Counter
@@ -247,27 +245,24 @@ func newInstruments(reg *obs.Registry) *instruments {
 	budgetDenied := reg.Counter("arbor_client_retry_budget_denied_total",
 		"Retry attempts (commit re-sends, level fallbacks, hedges) suppressed because the client's retry budget was exhausted.")
 	return &instruments{
-		readDur:          dur.With("read"),
-		writeDur:         dur.With("write"),
-		txnDur:           dur.With("txn"),
-		pingDur:          dur.With("ping"),
-		ops:              ops,
-		pingOK:           ops.With("ping", obs.OutcomeOK),
-		readOK:           ops.With("read", obs.OutcomeOK),
-		readNotFound:     ops.With("read", obs.OutcomeNotFound),
-		readUnavailable:  ops.With("read", obs.OutcomeUnavailable),
-		writeOK:          ops.With("write", obs.OutcomeOK),
-		writeInDoubt:     ops.With("write", obs.OutcomeInDoubt),
-		writeUnavailable: ops.With("write", obs.OutcomeUnavailable),
-		siteFallbacks:    fallbacks.With("site"),
-		levelFallbacks:   fallbacks.With("level"),
-		hedges:           hedgeEvents.With("launched"),
-		hedgeWins:        hedgeEvents.With("win"),
-		coalesced:        coalesced,
-		retryCommit:      retries.With("commit"),
-		retryLevel:       retries.With("level"),
-		overloadSkips:    overloadSkips,
-		budgetDenied:     budgetDenied,
+		readDur:         dur.With("read"),
+		writeDur:        dur.With("write"),
+		txnDur:          dur.With("txn"),
+		pingDur:         dur.With("ping"),
+		ops:             ops,
+		pingOK:          ops.With("ping", obs.OutcomeOK),
+		readOK:          ops.With("read", obs.OutcomeOK),
+		readNotFound:    ops.With("read", obs.OutcomeNotFound),
+		readUnavailable: ops.With("read", obs.OutcomeUnavailable),
+		siteFallbacks:   fallbacks.With("site"),
+		levelFallbacks:  fallbacks.With("level"),
+		hedges:          hedgeEvents.With("launched"),
+		hedgeWins:       hedgeEvents.With("win"),
+		coalesced:       coalesced,
+		retryCommit:     retries.With("commit"),
+		retryLevel:      retries.With("level"),
+		overloadSkips:   overloadSkips,
+		budgetDenied:    budgetDenied,
 	}
 }
 
@@ -387,37 +382,6 @@ func (c *Client) Metrics() Metrics {
 // Close stops the reply dispatcher. Outstanding calls fail with ErrClosed.
 func (c *Client) Close() {
 	c.caller.Close()
-}
-
-// call sends one request (stamped with its allocated request ID) and
-// waits for its reply or a timeout, counting the contact and feeding the
-// site's latency/failure EWMAs. Cancelled calls are not scored: losing a
-// hedge race says nothing about the site. Breaker fast-fails are neither
-// contacts (no message was sent) nor evidence about the site. An overload
-// shed counts as a contact (a message round-tripped) but is scored only as
-// a refusal, not a failure: the site answered instantly, it is alive —
-// ordering it last until it serves again is enough.
-func (c *Client) call(ctx context.Context, to transport.Addr, req rpc.Request, contacts *atomic.Uint64, copts ...rpc.CallOption) (any, error) {
-	start := time.Now()
-	resp, err := c.caller.Call(ctx, to, req, copts...)
-	if errors.Is(err, rpc.ErrClosed) {
-		return nil, ErrClosed
-	}
-	if errors.Is(err, rpc.ErrBreakerOpen) {
-		return nil, err
-	}
-	contacts.Add(1)
-	if errors.Is(err, ErrOverloaded) {
-		c.scores.markRefusing(to)
-		if c.instr != nil {
-			c.instr.overloadSkips.Inc()
-		}
-		return nil, err
-	}
-	if err == nil || errors.Is(err, rpc.ErrTimeout) {
-		c.scores.record(to, time.Since(start), err != nil)
-	}
-	return resp, err
 }
 
 // opCtx derives the context an operation runs under: when WithOpBudget is

@@ -172,6 +172,11 @@ func (s *silentCommitter) run() {
 	}
 }
 
+// TestClientWriteInDoubt: a single replica acks its prepare but never a
+// commit, so every commit re-send times out. Whether the retries run out or
+// the operation's deadline expires during a commit backoff, the decision
+// was commit: Write and a one-key transaction must both report ErrInDoubt
+// and count a write, never a failed one.
 func TestClientWriteInDoubt(t *testing.T) {
 	tr, err := tree.PhysicalLevelSizes(1) // single level, single replica
 	if err != nil {
@@ -181,27 +186,62 @@ func TestClientWriteInDoubt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := transport.NewNetwork()
-	defer n.Close()
-	repEP, err := n.Register(1)
-	if err != nil {
-		t.Fatal(err)
+	ops := []struct {
+		name string
+		run  func(ctx context.Context, cli *Client) error
+	}{
+		{"write", func(ctx context.Context, cli *Client) error {
+			_, err := cli.Write(ctx, "k", []byte("v"))
+			return err
+		}},
+		{"txn", func(ctx context.Context, cli *Client) error {
+			tx := cli.NewTxn()
+			if err := tx.Write("k", []byte("v")); err != nil {
+				return err
+			}
+			return tx.Commit(ctx)
+		}},
 	}
-	go (&silentCommitter{ep: repEP}).run()
-	cliEP, err := n.Register(-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := New(-1, cliEP, proto, WithTimeout(40*time.Millisecond), WithCommitRetries(1))
-	defer cli.Close()
+	// The 60ms deadline expires in the first commit backoff (jittered
+	// within [25ms, 75ms)) after the first 40ms commit timeout.
+	deadlines := []struct {
+		name string
+		d    time.Duration
+	}{{"no deadline", 0}, {"deadline in commit backoff", 60 * time.Millisecond}}
+	for _, dl := range deadlines {
+		for _, op := range ops {
+			t.Run(op.name+"/"+dl.name, func(t *testing.T) {
+				t.Parallel()
+				n := transport.NewNetwork()
+				defer n.Close()
+				repEP, err := n.Register(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				go (&silentCommitter{ep: repEP}).run()
+				cliEP, err := n.Register(-1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cli := New(-1, cliEP, proto, WithTimeout(40*time.Millisecond),
+					WithCommitRetries(3), WithRetryBackoff(50*time.Millisecond))
+				defer cli.Close()
 
-	_, err = cli.Write(context.Background(), "k", []byte("v"))
-	if !errors.Is(err, ErrInDoubt) {
-		t.Errorf("err = %v, want ErrInDoubt", err)
-	}
-	// The decision was commit, so the client counts it as a write.
-	if m := cli.Metrics(); m.Writes != 1 || m.WriteFailures != 0 {
-		t.Errorf("metrics = %+v", m)
+				ctx := context.Background()
+				if dl.d > 0 {
+					var cancel context.CancelFunc
+					ctx, cancel = context.WithTimeout(ctx, dl.d)
+					defer cancel()
+				}
+				if err := op.run(ctx, cli); !errors.Is(err, ErrInDoubt) {
+					t.Errorf("err = %v, want ErrInDoubt", err)
+				}
+				// The decision was commit, so the client counts it as a write.
+				if m := cli.Metrics(); m.Writes != 1 || m.WriteFailures != 0 {
+					t.Errorf("metrics = %+v", m)
+				}
+			})
+		}
 	}
 }
 

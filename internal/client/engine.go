@@ -18,12 +18,10 @@ import (
 	"errors"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"arbor/internal/core"
 	"arbor/internal/obs"
-	"arbor/internal/replica"
 	"arbor/internal/rpc"
 	"arbor/internal/transport"
 )
@@ -320,143 +318,173 @@ func (c *Client) levelHedgeDelay(sites []transport.Addr, cfg readConfig) (time.D
 	return d, true
 }
 
-// probeReply is one probe's outcome inside a hedged level assembly.
-type probeReply struct {
-	addr  transport.Addr
-	resp  any
-	err   error
+// sent is one request a collector issued, with what accounting its outcome
+// needs: the group it serves (a read's level, a 2PC round's target), when
+// it left, and where and under which phase label the trace records it.
+type sent struct {
+	call  *rpc.Call
+	group int
+	start time.Time
+	span  *obs.LevelSpan
+	phase string
 	hedge bool
+	open  bool // outcome not yet collected
 }
 
-// readLevelHedged obtains one response from level u with hedged backup
-// probes: candidates are contacted one at a time, but when the outstanding
-// probe is overdue by hedgeAfter the next candidate is probed concurrently
-// (and immediately on a definite failure). The first usable response wins;
-// the losers are cancelled and their replies drained before returning, so
-// no goroutine or trace write outlives the operation.
-func (c *Client) readLevelHedged(ctx context.Context, sites []transport.Addr, u int, key string, versionOnly bool, op *obs.Op, hedgeAfter time.Duration) levelOutcome {
-	phase, spanPhase := "read", "read-quorum"
-	if versionOnly {
-		phase, spanPhase = "version", "version-discovery"
-	}
-	span := op.Level(u, spanPhase)
-	traced := span.On()
+// collector runs an operation's quorum phases — read, version discovery,
+// prepare, commit, abort — on the operation's own goroutine. Requests go
+// out through rpc.Caller.Go; their outcomes (replies, timeouts, breaker
+// fast-fails, cancellations) come back as events on one channel, and hedge
+// deadlines tick on one timer, so no phase starts a goroutine per level or
+// per contact.
+type collector struct {
+	c        *Client
+	ctx      context.Context
+	done     chan *rpc.Call
+	sent     []sent
+	inflight int
+	timer    *time.Timer
+	armed    time.Time // the deadline the timer is set for; zero when idle
+}
 
-	var out levelOutcome
-	levelStart := time.Now()
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var contacts atomic.Uint64
-	replies := make(chan probeReply, len(sites))
-	launch := func(i int, hedge bool) {
-		addr := sites[i]
-		go func() {
-			var cs time.Time
-			if traced {
-				cs = time.Now()
-			}
-			var resp any
-			var err error
-			if versionOnly {
-				resp, err = c.call(pctx, addr, replica.VersionReq{Key: key, ForWrite: true}, &contacts)
-			} else {
-				resp, err = c.call(pctx, addr, replica.ReadReq{Key: key}, &contacts)
-			}
-			if traced {
-				p := phase
-				if hedge {
-					p += "-hedge"
-				}
-				span.Contact(int(addr), p, cs, time.Since(cs), err, errors.Is(err, rpc.ErrTimeout))
-			}
-			replies <- probeReply{addr: addr, resp: resp, err: err, hedge: hedge}
-		}()
-	}
+func (c *Client) newCollector(ctx context.Context) *collector {
+	return &collector{c: c, ctx: ctx}
+}
 
-	launch(0, false)
-	launched, pending, fallbacks := 1, 1, 0
-	timer := time.NewTimer(hedgeAfter)
-	defer timer.Stop()
-	var lastErr error
-	won, primaryReplied := false, false
-	for pending > 0 {
+// begin starts a phase that has at most width calls in flight at once. The
+// reply channel holds that many outcomes, so the dispatcher never blocks
+// delivering one.
+func (col *collector) begin(width int) {
+	col.sent = col.sent[:0]
+	if cap(col.done) < width {
+		col.done = make(chan *rpc.Call, width)
+	}
+}
+
+// send issues one request; its outcome comes back through run.
+func (col *collector) send(group int, to transport.Addr, req rpc.Request, span *obs.LevelSpan, phase string, hedge, force bool) {
+	tag := len(col.sent)
+	col.sent = append(col.sent, sent{group: group, start: time.Now(), span: span, phase: phase, hedge: hedge, open: true})
+	col.inflight++
+	if force {
+		col.sent[tag].call = col.c.caller.Go(col.ctx, to, req, tag, col.done, rpc.ForceProbe())
+	} else {
+		col.sent[tag].call = col.c.caller.Go(col.ctx, to, req, tag, col.done)
+	}
+}
+
+// run collects outcomes until no call is in flight, accounting each (see
+// settle) before handing it to onReply, which may send more. nextHedge,
+// when non-nil, reports the phase's earliest pending hedge; hedge is called
+// when it is due. When the operation's context ends, every call still in
+// flight is cancelled with the context's error, so each outcome is still
+// collected and accounted.
+func (col *collector) run(onReply func(s sent, resp any, err error, contact bool), nextHedge func() (time.Time, bool), hedge func()) {
+	ctxDone := col.ctx.Done()
+	for col.inflight > 0 {
+		var tick <-chan time.Time
+		if nextHedge != nil {
+			if at, ok := nextHedge(); ok {
+				tick = col.arm(at)
+			}
+		}
 		select {
-		case r := <-replies:
-			pending--
-			if r.addr == sites[0] {
-				primaryReplied = true
-			}
-			if won {
-				continue // a cancelled loser draining
-			}
-			err := r.err
-			if err == nil {
-				var ts replica.Timestamp
-				var value []byte
-				var found bool
-				ts, value, found, err = c.decodeProbe(r.addr, r.resp)
-				if err == nil {
-					out.ts, out.value, out.found = ts, value, found
-				}
-			} else if errors.Is(err, rpc.ErrBreakerOpen) {
-				out.skipped = append(out.skipped, r.addr)
-			}
-			if err == nil {
-				won = true
-				out.err = nil
-				out.responder = r.addr
-				if r.hedge {
-					if c.instr != nil {
-						c.instr.hedgeWins.Inc()
-					}
-					// The win itself says the primary sat overdue past
-					// the hedge delay without answering: score that as a
-					// failure so later reads deprioritize it. (Cancelled
-					// calls are otherwise never scored — losing a fair
-					// race says nothing — but overdue-ness does.)
-					if !primaryReplied {
-						c.scores.record(sites[0], time.Since(levelStart), true)
-					}
-				}
-				cancel() // release the losers; the loop drains their replies
-				continue
-			}
-			lastErr = err
-			if launched < len(sites) && pctx.Err() == nil {
-				launch(launched, false)
-				launched++
-				pending++
-				fallbacks++
-			}
-		case <-timer.C:
-			if !won && launched < len(sites) && pctx.Err() == nil {
-				// A hedge is optional retry traffic: it spends a retry-budget
-				// token. Denied, the overdue primary still resolves at the
-				// client timeout and the plain failure fallback takes over —
-				// the budget trades tail latency for load, never availability.
-				if c.budget.spend() {
-					launch(launched, true)
-					launched++
-					pending++
-					if c.instr != nil {
-						c.instr.hedges.Inc()
-					}
-				} else if c.instr != nil {
-					c.instr.budgetDenied.Inc()
-				}
-			}
-			timer.Reset(hedgeAfter)
+		case call := <-col.done:
+			s := &col.sent[call.Tag]
+			s.open = false
+			col.inflight--
+			contact, err := col.c.settle(*s, call)
+			onReply(*s, call.Resp, err, contact)
+		case <-tick:
+			col.armed = time.Time{}
+			hedge()
+		case <-ctxDone:
+			ctxDone = nil
+			col.cancel(-1, col.ctx.Err())
 		}
 	}
-	if !won {
-		out.err = lastErr
+	if !col.armed.IsZero() {
+		col.timer.Stop()
+		col.armed = time.Time{}
 	}
-	out.contacts = int(contacts.Load())
-	if fallbacks > 0 && c.instr != nil {
-		c.instr.siteFallbacks.Add(uint64(fallbacks))
+}
+
+// arm points the collector's timer at the deadline at.
+func (col *collector) arm(at time.Time) <-chan time.Time {
+	if col.timer == nil {
+		col.timer = time.NewTimer(time.Until(at))
+	} else if !at.Equal(col.armed) {
+		if !col.timer.Stop() {
+			select {
+			case <-col.timer.C:
+			default:
+			}
+		}
+		col.timer.Reset(time.Until(at))
 	}
-	span.Done(out.err == nil, out.err)
-	return out
+	col.armed = at
+	return col.timer.C
+}
+
+// cancel abandons the calls of group still in flight (every call when
+// group < 0); each one's outcome arrives as err.
+func (col *collector) cancel(group int, err error) {
+	for i := range col.sent {
+		if s := &col.sent[i]; s.open && (group < 0 || s.group == group) {
+			col.c.caller.Cancel(s.call, err)
+		}
+	}
+}
+
+// round sends one request to each of n targets at once — the 2PC shape: no
+// fallback, no hedging — and collects every outcome, handing each to
+// onReply with its target's index. Once the operation's context has ended
+// it sends nothing and returns the context's error.
+func (col *collector) round(n int, target func(i int) (transport.Addr, rpc.Request), span *obs.LevelSpan, phase string, force bool, onReply func(i int, resp any, err error, contact bool)) error {
+	if err := col.ctx.Err(); err != nil {
+		return err
+	}
+	col.begin(n)
+	for i := 0; i < n; i++ {
+		to, req := target(i)
+		col.send(i, to, req, span, phase, false, force)
+	}
+	col.run(func(s sent, resp any, err error, contact bool) {
+		onReply(s.group, resp, err, contact)
+	}, nil, nil)
+	return nil
+}
+
+// settle accounts one collected outcome the same way for every phase and
+// records it on the trace. ErrClosed surfaces as the client's ErrClosed. A
+// breaker fast-fail is neither a contact (no message was sent) nor evidence
+// about the site. Anything else was a contact: a reply or a timeout feeds
+// the site's latency/failure EWMAs, a cancelled call is not scored (losing
+// a hedge race says nothing about the site), and an overload shed is
+// scored only as a refusal — the site answered instantly, it is alive, and
+// ordering it last until it serves again is enough.
+func (c *Client) settle(s sent, call *rpc.Call) (contact bool, err error) {
+	err = call.Err
+	switch {
+	case errors.Is(err, rpc.ErrClosed):
+		err = ErrClosed
+	case errors.Is(err, rpc.ErrBreakerOpen):
+	case errors.Is(err, ErrOverloaded):
+		contact = true
+		c.scores.markRefusing(call.To)
+		if c.instr != nil {
+			c.instr.overloadSkips.Inc()
+		}
+	default:
+		contact = true
+		if err == nil || errors.Is(err, rpc.ErrTimeout) {
+			c.scores.record(call.To, time.Since(s.start), err != nil)
+		}
+	}
+	if s.span.On() {
+		s.span.Contact(int(call.To), s.phase, s.start, time.Since(s.start), err, errors.Is(err, rpc.ErrTimeout))
+	}
+	return contact, err
 }
 
 // flight is one in-progress coalesced read assembly.

@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"arbor/internal/core"
 	"arbor/internal/obs"
 	"arbor/internal/replica"
 	"arbor/internal/rpc"
@@ -60,7 +57,7 @@ func (c *Client) readDirect(ctx context.Context, key string, cfg readConfig) (Re
 	if c.instr != nil {
 		start = time.Now()
 	}
-	res, err := c.readQuorum(ctx, key, false, op, cfg)
+	res, err := c.newCollector(ctx).readQuorum(key, false, op, cfg)
 	if err != nil {
 		c.metrics.readFailures.Add(1)
 		if c.instr != nil {
@@ -110,21 +107,42 @@ func readOutcome(err error) string {
 func (c *Client) ReadVersion(ctx context.Context, key string) (ReadResult, error) {
 	ctx, cancel := c.opCtx(ctx)
 	defer cancel()
-	return c.readQuorum(ctx, key, true, nil, c.readDefaults())
+	return c.newCollector(ctx).readQuorum(key, true, nil, c.readDefaults())
 }
 
-// levelOutcome is one physical level's contribution to a read quorum.
-type levelOutcome struct {
+// levelRead is one physical level's part of a read or version quorum.
+type levelRead struct {
 	ts        replica.Timestamp
 	value     []byte
 	found     bool
-	contacts  int
+	won       bool
 	err       error
 	responder transport.Addr
-	// skipped lists sites the attempt never actually probed because their
-	// circuit breaker fast-failed the call; a failed level retries them
-	// with ForceProbe before giving up (the rescue pass).
-	skipped []transport.Addr
+	contacts  int
+
+	// sites are the level's candidates in engine order and next indexes
+	// the first not yet probed. skipped lists sites whose circuit breaker
+	// fast-failed the probe: a failed level force-probes them before giving
+	// up (the rescue pass, which then becomes sites).
+	sites    []transport.Addr
+	next     int
+	skipped  []transport.Addr
+	rescue   bool
+	inflight int
+
+	// hedgeAfter > 0 arms hedged backup probes: while the level is
+	// unanswered, from hedgeAt on, every hedgeAfter the next candidate is
+	// probed alongside the outstanding ones.
+	hedgeAfter     time.Duration
+	hedgeAt        time.Time
+	start          time.Time
+	primaryReplied bool
+	span           *obs.LevelSpan
+}
+
+// hedging reports whether the level may still launch a hedge.
+func (lv *levelRead) hedging() bool {
+	return lv.hedgeAfter > 0 && !lv.won && lv.inflight > 0 && lv.next < len(lv.sites)
 }
 
 // decodeProbe extracts a read/version probe response. A catching-up
@@ -150,39 +168,173 @@ func (c *Client) decodeProbe(addr transport.Addr, resp any) (ts replica.Timestam
 	}
 }
 
-// readQuorum gathers one response per physical level, in parallel across
-// levels and engine-ordered (hedged when warranted) within a level. When
-// op is live, every level probe is recorded as a LevelAttempt on it.
-func (c *Client) readQuorum(ctx context.Context, key string, versionOnly bool, op *obs.Op, cfg readConfig) (ReadResult, error) {
+// readQuorum gathers one response per physical level. Every level's
+// candidate order is drawn before the first send, in level order, so a
+// seeded client contacts the same sites however replies interleave. Each
+// level probes its candidates one at a time in the engine's learned order,
+// falling back to the next on a failure and, when the level is warm and
+// hedging is on, also when the outstanding probe is overdue by the hedge
+// delay; the first usable response wins and the losers are cancelled. All
+// levels run at once on the collector's one loop, and the read waits for
+// every level. When op is live, every level probe is recorded as a
+// LevelAttempt on it.
+func (col *collector) readQuorum(key string, versionOnly bool, op *obs.Op, cfg readConfig) (ReadResult, error) {
+	c := col.c
 	proto := c.Protocol()
-	levels := proto.NumPhysicalLevels()
-	outcomes := make([]levelOutcome, levels)
-	var wg sync.WaitGroup
-	for u := 0; u < levels; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			outcomes[u] = c.readLevel(ctx, proto, u, key, versionOnly, op, cfg)
-		}(u)
+	levels := make([]levelRead, proto.NumPhysicalLevels())
+	width := 0
+	for u := range levels {
+		lv := &levels[u]
+		lv.sites = c.orderedSites(proto, u)
+		width += len(lv.sites)
+		if cfg.hedge && len(lv.sites) > 1 {
+			lv.hedgeAfter, _ = c.levelHedgeDelay(lv.sites, cfg)
+		}
 	}
-	wg.Wait()
+	phase, hedgePhase, spanPhase := "read", "read-hedge", "read-quorum"
+	var req rpc.Request = replica.ReadReq{Key: key}
+	if versionOnly {
+		phase, hedgePhase, spanPhase = "version", "version-hedge", "version-discovery"
+		req = replica.VersionReq{Key: key, ForWrite: true}
+	}
+	probe := func(u int, hedge bool) {
+		lv := &levels[u]
+		p := phase
+		if hedge {
+			p = hedgePhase
+		}
+		col.send(u, lv.sites[lv.next], req, lv.span, p, hedge, lv.rescue)
+		lv.next++
+		lv.inflight++
+	}
+	// finish closes a level with nothing left in flight. If it failed while
+	// some sites were only breaker-skipped (never actually probed), a rescue
+	// pass force-probes them first: the breaker is advice for ordering and
+	// fast-skipping, never grounds for declaring a level unavailable.
+	finish := func(u int) {
+		lv := &levels[u]
+		if !lv.won && !lv.rescue && len(lv.skipped) > 0 && col.ctx.Err() == nil {
+			lv.span.Done(false, lv.err)
+			lv.span = op.Level(u, spanPhase)
+			lv.sites, lv.next, lv.skipped, lv.rescue, lv.hedgeAfter = lv.skipped, 0, nil, true, 0
+			probe(u, false)
+			return
+		}
+		lv.span.Done(lv.won, lv.err)
+	}
+	onReply := func(s sent, resp any, err error, contact bool) {
+		u, to := s.group, s.call.To
+		lv := &levels[u]
+		lv.inflight--
+		if contact {
+			lv.contacts++
+		}
+		if to == lv.sites[0] {
+			lv.primaryReplied = true
+		}
+		if !lv.won {
+			if err == nil {
+				lv.ts, lv.value, lv.found, err = c.decodeProbe(to, resp)
+			}
+			if err == nil {
+				lv.won, lv.err, lv.responder = true, nil, to
+				if s.hedge {
+					if c.instr != nil {
+						c.instr.hedgeWins.Inc()
+					}
+					// The win itself says the primary sat overdue past the
+					// hedge delay without answering: score that as a
+					// failure so later reads deprioritize it. (Cancelled
+					// calls are otherwise never scored — losing a fair race
+					// says nothing — but overdue-ness does.)
+					if !lv.primaryReplied {
+						c.scores.record(lv.sites[0], time.Since(lv.start), true)
+					}
+				}
+				col.cancel(u, context.Canceled) // the losers' outcomes still drain through here
+			} else {
+				lv.err = err
+				if errors.Is(err, rpc.ErrBreakerOpen) {
+					lv.skipped = append(lv.skipped, to)
+				}
+				if lv.next < len(lv.sites) && col.ctx.Err() == nil {
+					if contact && c.instr != nil {
+						c.instr.siteFallbacks.Inc()
+					}
+					probe(u, false)
+				}
+			}
+		}
+		if lv.inflight == 0 {
+			finish(u)
+		}
+	}
+	nextHedge := func() (at time.Time, ok bool) {
+		for u := range levels {
+			if lv := &levels[u]; lv.hedging() && (!ok || lv.hedgeAt.Before(at)) {
+				at, ok = lv.hedgeAt, true
+			}
+		}
+		return at, ok
+	}
+	hedge := func() {
+		now := time.Now()
+		for u := range levels {
+			lv := &levels[u]
+			if !lv.hedging() || now.Before(lv.hedgeAt) {
+				continue
+			}
+			lv.hedgeAt = now.Add(lv.hedgeAfter)
+			if col.ctx.Err() != nil {
+				continue
+			}
+			// A hedge is optional retry traffic: it spends a retry-budget
+			// token. Denied, the overdue primary still resolves at the
+			// client timeout and the plain failure fallback takes over —
+			// the budget trades tail latency for load, never availability.
+			if c.budget.spend() {
+				probe(u, true)
+				if c.instr != nil {
+					c.instr.hedges.Inc()
+				}
+			} else if c.instr != nil {
+				c.instr.budgetDenied.Inc()
+			}
+		}
+	}
+
+	col.begin(width)
+	for u := range levels {
+		lv := &levels[u]
+		lv.span = op.Level(u, spanPhase)
+		lv.start = time.Now()
+		lv.hedgeAt = lv.start.Add(lv.hedgeAfter)
+		if len(lv.sites) == 0 {
+			lv.err = fmt.Errorf("level %d has no replicas", u)
+			lv.span.Done(false, lv.err)
+			continue
+		}
+		probe(u, false)
+	}
+	col.run(onReply, nextHedge, hedge)
 
 	var res ReadResult
-	for u, out := range outcomes {
-		res.Contacts += out.contacts
-		if out.err != nil {
+	for u := range levels {
+		lv := &levels[u]
+		res.Contacts += lv.contacts
+		if !lv.won {
 			c.metrics.readContacts.Add(uint64(res.Contacts))
-			return res, fmt.Errorf("%w: level %d: %w", ErrReadUnavailable, u, out.err)
+			return res, fmt.Errorf("%w: level %d: %w", ErrReadUnavailable, u, lv.err)
 		}
-		if out.found && (!res.Found || out.ts.After(res.TS)) {
-			res.TS = out.ts
-			res.Value = out.value
+		if lv.found && (!res.Found || lv.ts.After(res.TS)) {
+			res.TS = lv.ts
+			res.Value = lv.value
 			res.Found = true
 		}
 	}
 	c.metrics.readContacts.Add(uint64(res.Contacts))
 	if c.readRepair && !versionOnly && res.Found {
-		c.repair(key, res, outcomes)
+		c.repair(key, res, levels)
 	}
 	return res, nil
 }
@@ -191,110 +343,16 @@ func (c *Client) readQuorum(ctx context.Context, key string, versionOnly bool, o
 // stale or missing data. Repairs are fire-and-forget timestamped commits
 // (request ID 0 is never registered, so any acknowledgement is dropped by
 // the dispatcher) and cannot regress replica state.
-func (c *Client) repair(key string, res ReadResult, outcomes []levelOutcome) {
-	for _, out := range outcomes {
-		if out.err != nil || (out.found && !res.TS.After(out.ts)) {
+func (c *Client) repair(key string, res ReadResult, levels []levelRead) {
+	for _, lv := range levels {
+		if lv.found && !res.TS.After(lv.ts) {
 			continue
 		}
-		_ = c.caller.Send(out.responder, replica.CommitReq{
+		_ = c.caller.Send(lv.responder, replica.CommitReq{
 			TxID:  0,
 			Key:   key,
 			Value: res.Value,
 			TS:    res.TS,
 		})
 	}
-}
-
-// readLevel obtains one response from any physical node of level u,
-// probing candidates in the engine's learned order — hedged when the level
-// is warm and hedging is on, sequentially otherwise. If the attempt fails
-// while some sites were only breaker-skipped (never actually probed), a
-// rescue pass force-probes them: the breaker is advice for ordering and
-// fast-skipping, never grounds for declaring a level unavailable.
-func (c *Client) readLevel(ctx context.Context, proto *core.Protocol, u int, key string, versionOnly bool, op *obs.Op, cfg readConfig) levelOutcome {
-	sites := c.orderedSites(proto, u)
-	var out levelOutcome
-	hedged := false
-	if cfg.hedge && len(sites) > 1 {
-		if d, ok := c.levelHedgeDelay(sites, cfg); ok {
-			out = c.readLevelHedged(ctx, sites, u, key, versionOnly, op, d)
-			hedged = true
-		}
-	}
-	if !hedged {
-		out = c.readLevelSequential(ctx, sites, u, key, versionOnly, op, false)
-	}
-	if out.err != nil && len(out.skipped) > 0 && ctx.Err() == nil {
-		rescue := c.readLevelSequential(ctx, out.skipped, u, key, versionOnly, op, true)
-		rescue.contacts += out.contacts
-		return rescue
-	}
-	return out
-}
-
-// readLevelSequential probes the level's candidates one at a time, each
-// bounded by the full client timeout, recording each site contact (and the
-// eventual fallback within the level) on the operation trace. With force
-// set, calls carry ForceProbe and go through open circuit breakers (the
-// rescue pass).
-func (c *Client) readLevelSequential(ctx context.Context, sites []transport.Addr, u int, key string, versionOnly bool, op *obs.Op, force bool) levelOutcome {
-	phase := "read"
-	spanPhase := "read-quorum"
-	if versionOnly {
-		phase = "version"
-		spanPhase = "version-discovery"
-	}
-	span := op.Level(u, spanPhase)
-	traced := span.On()
-
-	var copts []rpc.CallOption
-	if force {
-		copts = []rpc.CallOption{rpc.ForceProbe()}
-	}
-	var out levelOutcome
-	var contacts atomic.Uint64
-	for _, addr := range sites {
-		var cs time.Time
-		if traced {
-			cs = time.Now()
-		}
-		var resp any
-		var err error
-		if versionOnly {
-			resp, err = c.call(ctx, addr, replica.VersionReq{Key: key, ForWrite: true}, &contacts, copts...)
-		} else {
-			resp, err = c.call(ctx, addr, replica.ReadReq{Key: key}, &contacts, copts...)
-		}
-		if traced {
-			span.Contact(int(addr), phase, cs, time.Since(cs), err, errors.Is(err, rpc.ErrTimeout))
-		}
-		if err != nil {
-			if errors.Is(err, rpc.ErrBreakerOpen) {
-				out.skipped = append(out.skipped, addr)
-			}
-			out.err = err
-			continue
-		}
-		out.err = nil
-		var ts replica.Timestamp
-		var value []byte
-		var found bool
-		ts, value, found, err = c.decodeProbe(addr, resp)
-		if err != nil {
-			out.err = err
-			continue
-		}
-		out.responder = addr
-		out.ts, out.value, out.found = ts, value, found
-		break
-	}
-	out.contacts = int(contacts.Load())
-	if out.contacts == 0 && out.err == nil {
-		out.err = fmt.Errorf("level %d has no replicas", u)
-	}
-	if out.contacts > 1 && c.instr != nil {
-		c.instr.siteFallbacks.Add(uint64(out.contacts - 1))
-	}
-	span.Done(out.err == nil, out.err)
-	return out
 }

@@ -4,15 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"arbor/internal/core"
-	"arbor/internal/obs"
-	"arbor/internal/replica"
-	"arbor/internal/rpc"
-	"arbor/internal/transport"
 )
 
 // Txn is a client-side transaction: a partially ordered set of reads and
@@ -116,194 +109,16 @@ func (t *Txn) Commit(ctx context.Context) error {
 	if len(t.writes) == 0 {
 		return nil
 	}
-	ctx, cancel := t.c.opCtx(ctx)
-	defer cancel()
-	t.c.budget.earnOp()
-
 	traceKey := t.order[0]
 	if len(t.order) > 1 {
 		traceKey = fmt.Sprintf("%s (+%d keys)", traceKey, len(t.order)-1)
 	}
-	op := t.c.traces.Start("txn", traceKey, t.c.id)
-	var start time.Time
-	var contacts atomic.Uint64
-	if t.c.instr != nil {
-		start = time.Now()
+	writes := make([]keyWrite, len(t.order))
+	for i, key := range t.order {
+		writes[i] = keyWrite{key: key, value: t.writes[key]}
 	}
-	finish := func(outcome string, err error) {
-		if t.c.instr != nil {
-			t.c.instr.txnDur.Observe(time.Since(start))
-			t.c.instr.ops.With("txn", outcome).Inc()
-		}
-		op.Finish(outcome, err, int(contacts.Load()))
-	}
-
-	// Per-key timestamps: cached read versions where available, fresh
+	// Per-key versions: cached read versions where available, fresh
 	// version discovery otherwise.
-	tss := make(map[string]replica.Timestamp, len(t.writes))
-	for _, key := range t.order {
-		base, ok := t.reads[key]
-		if !ok {
-			v, err := t.c.readQuorum(ctx, key, true, op, t.c.readDefaults())
-			if err != nil {
-				err = fmt.Errorf("%w: version discovery for %q: %w", ErrWriteUnavailable, key, err)
-				finish(obs.OutcomeUnavailable, err)
-				return err
-			}
-			base = v
-		}
-		tss[key] = replica.Timestamp{Version: base.TS.Version + 1, Site: t.c.id}
-	}
-
-	defer func() {
-		t.c.metrics.writeContacts.Add(contacts.Load())
-	}()
-
-	var lastErr error
-	for i, u := range t.c.orderedLevels(t.proto) {
-		if i > 0 {
-			if !t.c.budget.spend() {
-				if t.c.instr != nil {
-					t.c.instr.budgetDenied.Inc()
-				}
-				break
-			}
-			if t.c.instr != nil {
-				t.c.instr.levelFallbacks.Inc()
-			}
-			floor, _ := rpc.RetryAfter(lastErr)
-			if berr := t.c.backoff(ctx, i-1, "level", floor); berr != nil {
-				break
-			}
-		}
-		err := t.commitLevel(ctx, u, tss, &contacts, op)
-		if err == nil {
-			t.c.metrics.writes.Add(1)
-			finish(obs.OutcomeOK, nil)
-			return nil
-		}
-		if errors.Is(err, ErrInDoubt) {
-			t.c.metrics.writes.Add(1)
-			finish(obs.OutcomeInDoubt, err)
-			return err
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	t.c.metrics.writeFailures.Add(1)
-	if lastErr != nil {
-		err := fmt.Errorf("%w: %w", ErrTxnConflict, lastErr)
-		finish(obs.OutcomeConflict, err)
-		return err
-	}
-	finish(obs.OutcomeConflict, ErrTxnConflict)
-	return ErrTxnConflict
-}
-
-// commitLevel prepares every (key, site) pair of level u, then commits them
-// all, aborting everything on any prepare failure.
-func (t *Txn) commitLevel(ctx context.Context, u int, tss map[string]replica.Timestamp, contacts *atomic.Uint64, op *obs.Op) error {
-	sites := t.proto.LevelSites(u)
-	addrs := make([]transport.Addr, len(sites))
-	for i, s := range sites {
-		addrs[i] = transport.Addr(s)
-	}
-	txID := t.c.txID.Add(1)
-	span := op.Level(u, "write-2pc")
-	var uncounted atomic.Uint64
-
-	abortAll := func(keys []string) {
-		for _, key := range keys {
-			t.c.fanout(ctx, addrs, &uncounted, span, "abort",
-				replica.AbortReq{TxID: txID, Key: key}, func(any) error { return nil })
-		}
-	}
-
-	// Phase 1: prepare every key on every member of the level.
-	checkPrepare := func(resp any) error {
-		pr, ok := resp.(replica.PrepareResp)
-		if !ok {
-			return fmt.Errorf("unexpected response %T", resp)
-		}
-		if !pr.OK {
-			return fmt.Errorf("prepare refused: %s", pr.Reason)
-		}
-		return nil
-	}
-	var prepared []string
-	for _, key := range t.order {
-		prepare := replica.PrepareReq{TxID: txID, Key: key, TS: tss[key]}
-		err := t.c.fanout(ctx, addrs, contacts, span, "prepare", prepare, checkPrepare)
-		if err != nil && errors.Is(err, rpc.ErrBreakerOpen) && ctx.Err() == nil {
-			// Rescue pass: don't fail the level over a breaker fast-fail —
-			// force the prepares through once (see writeLevel).
-			err = t.c.fanout(ctx, addrs, contacts, span, "prepare", prepare, checkPrepare, rpc.ForceProbe())
-		}
-		if err != nil {
-			abortAll(append(prepared, key))
-			err = fmt.Errorf("level %d key %q: %w", u, key, err)
-			span.Done(false, err)
-			return err
-		}
-		prepared = append(prepared, key)
-	}
-
-	// Phase 2: the whole transaction is committed; push every key's
-	// commit until acknowledged.
-	inDoubt := false
-	for _, key := range t.order {
-		key := key
-		ts := tss[key]
-		value := t.writes[key]
-		remaining := addrs
-		acked := false
-		for attempt := 0; attempt <= t.c.commitRetries; attempt++ {
-			if attempt > 0 {
-				if !t.c.budget.spend() {
-					if t.c.instr != nil {
-						t.c.instr.budgetDenied.Inc()
-					}
-					break // budget dry: outcome in doubt, no retry storm
-				}
-				// Back off instead of re-sending immediately: the failed
-				// member is likely still recovering, and a hot loop just
-				// burns its inbox. ForceProbe below keeps the commit
-				// decision flowing through open breakers.
-				if t.c.backoff(ctx, attempt-1, "commit", 0) != nil {
-					break // context done mid-backoff: outcome in doubt
-				}
-			}
-			var mu sync.Mutex
-			var failed []transport.Addr
-			err := t.c.fanoutCollect(ctx, remaining, &uncounted, span, "commit",
-				replica.CommitReq{TxID: txID, Key: key, Value: value, TS: ts},
-				func(addr transport.Addr, _ any, callErr error) {
-					if callErr != nil {
-						mu.Lock()
-						failed = append(failed, addr)
-						mu.Unlock()
-					}
-				}, rpc.ForceProbe())
-			if err != nil {
-				break // context done: commit decision stands, outcome in doubt
-			}
-			if len(failed) == 0 {
-				acked = true
-				break
-			}
-			remaining = failed
-		}
-		if !acked {
-			inDoubt = true
-		}
-	}
-	if inDoubt {
-		err := fmt.Errorf("level %d: %w", u, ErrInDoubt)
-		span.Done(false, err)
-		return err
-	}
-	span.Done(true, nil)
-	return nil
+	_, err := t.c.commit(ctx, "txn", traceKey, t.proto, t.c.orderedLevels(t.proto), t.c.readDefaults(), writes, t.reads)
+	return err
 }

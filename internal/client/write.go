@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"arbor/internal/core"
@@ -37,7 +35,8 @@ type WriteResult struct {
 // uniform rotation, with levels containing a known-failing member
 // deprioritized (their 2PC would stall on a timeout); per-operation
 // options can pin the first level (WriteToLevel) or disable discovery
-// hedging (WriteWithoutHedge).
+// hedging (WriteWithoutHedge). It is the one-key case of a transaction's
+// commit, reporting a level-less failure as ErrWriteUnavailable.
 func (c *Client) Write(ctx context.Context, key string, value []byte, opts ...WriteOption) (WriteResult, error) {
 	proto := c.Protocol()
 	cfg := writeConfig{read: c.readDefaults(), level: -1}
@@ -57,7 +56,7 @@ func (c *Client) Write(ctx context.Context, key string, value []byte, opts ...Wr
 	} else {
 		order = c.orderedLevels(proto)
 	}
-	return c.writeWithOrder(ctx, key, value, proto, order, cfg.read)
+	return c.commit(ctx, "write", key, proto, order, cfg.read, []keyWrite{{key: key, value: value}}, nil)
 }
 
 // WriteAt performs a write preferring the given physical level's quorum
@@ -73,56 +72,60 @@ func (c *Client) WriteAt(ctx context.Context, key string, value []byte, level in
 	return c.Write(ctx, key, value, WriteToLevel(level))
 }
 
-// writeWithOrder runs the write protocol trying levels in the given order,
-// with version discovery shaped by rcfg.
-func (c *Client) writeWithOrder(ctx context.Context, key string, value []byte, proto *core.Protocol, order []int, rcfg readConfig) (res WriteResult, err error) {
+// keyWrite is one key a two-phase commit installs.
+type keyWrite struct {
+	key   string
+	value []byte
+	ts    replica.Timestamp
+}
+
+// commit is the write path of Write (kind "write") and Txn.Commit (kind
+// "txn"). Phase 0 (§3.2.2) obtains the highest version of every key not in
+// bases; this needs a read-shaped quorum, so a write inherits the read
+// operation's availability requirement for its version-discovery step.
+// Then all writes go through one two-phase commit on one physical level,
+// trying levels in order. A commit decision that not every member
+// acknowledged is reported as ErrInDoubt and counts as a write — retrying
+// elsewhere would double-write. When no level can be prepared, a Write
+// fails with ErrWriteUnavailable and a transaction with ErrTxnConflict.
+func (c *Client) commit(ctx context.Context, kind, traceKey string, proto *core.Protocol, order []int, rcfg readConfig, writes []keyWrite, bases map[string]ReadResult) (res WriteResult, err error) {
 	ctx, cancel := c.opCtx(ctx)
 	defer cancel()
 	c.budget.earnOp()
-	op := c.traces.Start("write", key, c.id)
+	op := c.traces.Start(kind, traceKey, c.id)
 	var start time.Time
 	if c.instr != nil {
 		start = time.Now()
 	}
-	var contacts atomic.Uint64
-	finish := func(outcome string, err error) {
+	outcome := obs.OutcomeOK
+	defer func() {
 		if c.instr != nil {
-			c.instr.writeDur.Observe(time.Since(start))
-			switch outcome {
-			case obs.OutcomeOK:
-				c.instr.writeOK.Inc()
-			case obs.OutcomeInDoubt:
-				c.instr.writeInDoubt.Inc()
-			case obs.OutcomeUnavailable:
-				c.instr.writeUnavailable.Inc()
-			default:
-				c.instr.ops.With("write", outcome).Inc()
+			if kind == "txn" {
+				c.instr.txnDur.Observe(time.Since(start))
+			} else {
+				c.instr.writeDur.Observe(time.Since(start))
+			}
+			c.instr.ops.With(kind, outcome).Inc()
+		}
+		op.Finish(outcome, err, res.Contacts)
+	}()
+	col := c.newCollector(ctx)
+
+	for i := range writes {
+		w := &writes[i]
+		base, ok := bases[w.key]
+		if !ok {
+			base, err = col.readQuorum(w.key, true, op, rcfg)
+			res.Contacts += base.Contacts
+			if err != nil {
+				c.metrics.writeFailures.Add(1)
+				c.metrics.writeContacts.Add(uint64(base.Contacts))
+				outcome = obs.OutcomeUnavailable
+				return res, fmt.Errorf("%w: version discovery for %q: %w", ErrWriteUnavailable, w.key, err)
 			}
 		}
-		// The deferred contact accounting below runs after finish, so the
-		// trace adds the in-flight 2PC contacts explicitly.
-		op.Finish(outcome, err, res.Contacts+int(contacts.Load()))
+		w.ts = replica.Timestamp{Version: base.TS.Version + 1, Site: c.id}
 	}
-
-	// Phase 0 (§3.2.2): obtain the highest version number. This needs a
-	// read-shaped quorum, so a write inherits the read operation's
-	// availability requirement for its version-discovery step.
-	ver, err := c.readQuorum(ctx, key, true, op, rcfg)
-	res.Contacts += ver.Contacts
-	if err != nil {
-		c.metrics.writeFailures.Add(1)
-		c.metrics.writeContacts.Add(uint64(ver.Contacts))
-		err = fmt.Errorf("%w: version discovery: %w", ErrWriteUnavailable, err)
-		finish(obs.OutcomeUnavailable, err)
-		return res, err
-	}
-	ts := replica.Timestamp{Version: ver.TS.Version + 1, Site: c.id}
-
-	defer func() {
-		n := int(contacts.Load())
-		res.Contacts += n
-		c.metrics.writeContacts.Add(uint64(n))
-	}()
 
 	var lastErr error
 	for i, u := range order {
@@ -145,28 +148,19 @@ func (c *Client) writeWithOrder(ctx context.Context, key string, value []byte, p
 			// storm only feeds it. An overloaded member's retry-after hint
 			// floors the sleep.
 			floor, _ := rpc.RetryAfter(lastErr)
-			if berr := c.backoff(ctx, i-1, "level", floor); berr != nil {
-				if lastErr == nil {
-					lastErr = berr
-				}
+			if c.backoff(ctx, i-1, "level", floor) != nil {
 				break
 			}
 		}
-		err := c.writeLevel(ctx, proto, u, key, value, ts, &contacts, op)
-		if err == nil {
-			res.TS = ts
-			res.Level = u
+		contacts, err := col.twoPhase(proto, u, writes, op)
+		res.Contacts += contacts
+		c.metrics.writeContacts.Add(uint64(contacts))
+		if err == nil || errors.Is(err, ErrInDoubt) {
+			res.TS, res.Level = writes[0].ts, u
 			c.metrics.writes.Add(1)
-			finish(obs.OutcomeOK, nil)
-			return res, nil
-		}
-		if errors.Is(err, ErrInDoubt) {
-			// The decision was commit; report it rather than retrying
-			// elsewhere and double-writing.
-			res.TS = ts
-			res.Level = u
-			c.metrics.writes.Add(1)
-			finish(obs.OutcomeInDoubt, err)
+			if err != nil {
+				outcome = obs.OutcomeInDoubt
+			}
 			return res, err
 		}
 		lastErr = err
@@ -175,155 +169,123 @@ func (c *Client) writeWithOrder(ctx context.Context, key string, value []byte, p
 		}
 	}
 	c.metrics.writeFailures.Add(1)
-	err = fmt.Errorf("%w: %w", ErrWriteUnavailable, lastErr)
-	finish(obs.OutcomeUnavailable, err)
-	return res, err
+	if kind == "txn" {
+		outcome = obs.OutcomeConflict
+		return res, fmt.Errorf("%w: %w", ErrTxnConflict, lastErr)
+	}
+	outcome = obs.OutcomeUnavailable
+	return res, fmt.Errorf("%w: %w", ErrWriteUnavailable, lastErr)
 }
 
-// writeLevel runs two-phase commit over every physical node of level u,
-// recording the attempt (prepare, commit and abort contacts) on the trace.
-func (c *Client) writeLevel(ctx context.Context, proto *core.Protocol, u int, key string, value []byte, ts replica.Timestamp, contacts *atomic.Uint64, op *obs.Op) error {
-	sites := proto.LevelSites(u)
-	addrs := make([]transport.Addr, len(sites))
-	for i, s := range sites {
-		addrs[i] = transport.Addr(s)
+// twoPhase runs two-phase commit of every write over every physical node of
+// level u, recording the attempt (prepare, commit and abort contacts) on
+// op. It returns the prepare contacts and nil, an ErrInDoubt error (the
+// decision was commit but not every member acknowledged it), or why the
+// level could not be prepared. Second-phase messages go to members their
+// prepare already counted, so they are not counted again.
+func (col *collector) twoPhase(proto *core.Protocol, u int, writes []keyWrite, op *obs.Op) (contacts int, err error) {
+	c := col.c
+	level := proto.LevelSites(u)
+	sites := make([]transport.Addr, len(level))
+	for i, s := range level {
+		sites[i] = transport.Addr(s)
 	}
 	txID := c.txID.Add(1)
 	span := op.Level(u, "write-2pc")
+	// Target i of a round is key i/len(sites) on site i%len(sites).
+	n := len(writes) * len(sites)
+	site := func(i int) transport.Addr { return sites[i%len(sites)] }
+	write := func(i int) *keyWrite { return &writes[i/len(sites)] }
 
-	// Replica accesses in phase two target the same quorum members phase
-	// one already counted, so they accumulate into a throwaway counter.
-	var uncounted atomic.Uint64
-
-	// Phase 1: prepare everywhere, in parallel.
-	checkPrepare := func(resp any) error {
-		pr, ok := resp.(replica.PrepareResp)
-		if !ok {
-			return fmt.Errorf("unexpected response %T", resp)
+	// Phase 1: prepare every key on every member of the level at once. The
+	// reported failure prefers a breaker fast-fail, so a level that failed
+	// without actually probing some member is recognized.
+	prepare := func(force bool) error {
+		var first error
+		err := col.round(n, func(i int) (transport.Addr, rpc.Request) {
+			w := write(i)
+			return site(i), replica.PrepareReq{TxID: txID, Key: w.key, TS: w.ts}
+		}, span, "prepare", force, func(i int, resp any, err error, contact bool) {
+			if contact {
+				contacts++
+			}
+			switch pr, ok := resp.(replica.PrepareResp); {
+			case err != nil:
+			case !ok:
+				err = fmt.Errorf("unexpected response %T", resp)
+			case !pr.OK:
+				err = fmt.Errorf("prepare refused: %s", pr.Reason)
+			}
+			if err != nil && (first == nil || errors.Is(err, rpc.ErrBreakerOpen) && !errors.Is(first, rpc.ErrBreakerOpen)) {
+				first = fmt.Errorf("site %d key %q: %w", site(i), write(i).key, err)
+			}
+		})
+		if err != nil {
+			return err
 		}
-		if !pr.OK {
-			return fmt.Errorf("prepare refused: %s", pr.Reason)
-		}
-		return nil
+		return first
 	}
-	prepare := replica.PrepareReq{TxID: txID, Key: key, TS: ts}
-	prepErrs := c.fanout(ctx, addrs, contacts, span, "prepare", prepare, checkPrepare)
-	if prepErrs != nil && errors.Is(prepErrs, rpc.ErrBreakerOpen) && ctx.Err() == nil {
-		// Rescue pass: a member's open breaker fast-failed the fanout. The
+	err = prepare(false)
+	if errors.Is(err, rpc.ErrBreakerOpen) && col.ctx.Err() == nil {
+		// Rescue pass: a member's open breaker fast-failed its prepare. The
 		// breaker must not cost availability the protocol would have had —
 		// force the prepares through once before declaring the level dead.
-		prepErrs = c.fanout(ctx, addrs, contacts, span, "prepare", prepare, checkPrepare, rpc.ForceProbe())
+		err = prepare(true)
 	}
-	if prepErrs != nil {
-		// Release whatever we locked and report the level as unusable.
-		c.fanout(ctx, addrs, &uncounted, span, "abort",
-			replica.AbortReq{TxID: txID, Key: key}, func(any) error { return nil })
-		err := fmt.Errorf("level %d: %w", u, prepErrs)
+	if err != nil {
+		// Release whatever was locked and report the level as unusable.
+		_ = col.round(n, func(i int) (transport.Addr, rpc.Request) {
+			return site(i), replica.AbortReq{TxID: txID, Key: write(i).key}
+		}, span, "abort", false, func(int, any, error, bool) {})
+		err = fmt.Errorf("level %d: %w", u, err)
 		span.Done(false, err)
-		return err
+		return contacts, err
 	}
 
-	// Phase 2: all replicas prepared — the transaction is committed.
-	// Push commits until everyone acknowledges or retries run out, backing
-	// off between rounds. Commits always carry ForceProbe: every prepared
-	// member must hear the decision, open breaker or not.
-	remaining := addrs
-	for attempt := 0; attempt <= c.commitRetries; attempt++ {
+	// Phase 2: every member prepared — the transaction is committed. Push
+	// commits until everyone acknowledges, backing off between rounds.
+	// Commits always carry ForceProbe: every prepared member must hear the
+	// decision, open breaker or not. When the retries, the retry budget or
+	// the operation's context run out first, the outcome is in doubt: the
+	// decision is durable on every member that did acknowledge, and lock
+	// expiry plus anti-entropy finish the stragglers.
+	pending := make([]int, n)
+	for i := range pending {
+		pending[i] = i
+	}
+	for attempt := 0; len(pending) > 0 && attempt <= c.commitRetries; attempt++ {
 		if attempt > 0 {
-			// A commit re-send spends a retry-budget token; with the bucket
-			// dry the write reports in doubt now rather than storming. The
-			// decision is durable on every replica that did acknowledge, and
-			// lock expiry plus anti-entropy finish the stragglers.
+			// A commit re-send spends a retry-budget token.
 			if !c.budget.spend() {
 				if c.instr != nil {
 					c.instr.budgetDenied.Inc()
 				}
 				break
 			}
-			if err := c.backoff(ctx, attempt-1, "commit", 0); err != nil {
-				span.Done(false, err)
-				return err
+			if c.backoff(col.ctx, attempt-1, "commit", 0) != nil {
+				break
 			}
 		}
-		var failed []transport.Addr
-		var mu sync.Mutex
-		err := c.fanoutCollect(ctx, remaining, &uncounted, span, "commit",
-			replica.CommitReq{TxID: txID, Key: key, Value: value, TS: ts},
-			func(addr transport.Addr, resp any, callErr error) {
-				if callErr != nil {
-					mu.Lock()
-					failed = append(failed, addr)
-					mu.Unlock()
-				}
-			}, rpc.ForceProbe())
-		if err != nil {
-			span.Done(false, err)
-			return err
-		}
-		if len(failed) == 0 {
-			span.Done(true, nil)
-			return nil
-		}
-		remaining = failed
-	}
-	err := fmt.Errorf("level %d: %w", u, ErrInDoubt)
-	span.Done(false, err)
-	return err
-}
-
-// fanout sends one request to every address in parallel and returns the
-// first validation or transport error (nil when all succeed). Breaker
-// fast-fails are preferred as the reported error so callers can recognize
-// a fanout that failed without actually probing some member.
-func (c *Client) fanout(ctx context.Context, addrs []transport.Addr, contacts *atomic.Uint64, span *obs.LevelSpan, phase string, req rpc.Request, check func(resp any) error, copts ...rpc.CallOption) error {
-	var firstErr error
-	var mu sync.Mutex
-	err := c.fanoutCollect(ctx, addrs, contacts, span, phase, req, func(addr transport.Addr, resp any, callErr error) {
-		err := callErr
-		if err == nil {
-			err = check(resp)
-		}
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil || (errors.Is(err, rpc.ErrBreakerOpen) && !errors.Is(firstErr, rpc.ErrBreakerOpen)) {
-				firstErr = fmt.Errorf("site %d: %w", addr, err)
+		var failed []int
+		if col.round(len(pending), func(i int) (transport.Addr, rpc.Request) {
+			w := write(pending[i])
+			return site(pending[i]), replica.CommitReq{TxID: txID, Key: w.key, Value: w.value, TS: w.ts}
+		}, span, "commit", true, func(i int, _ any, err error, _ bool) {
+			if err != nil {
+				failed = append(failed, pending[i])
 			}
-			mu.Unlock()
+		}) != nil {
+			break
 		}
-	}, copts...)
-	if err != nil {
-		return err
+		pending = failed
 	}
-	return firstErr
-}
-
-// fanoutCollect sends one request per address in parallel and invokes the
-// callback with each outcome, recording every contact on the span. It
-// returns an error only when the client is closed or the context is done
-// before dispatch.
-func (c *Client) fanoutCollect(ctx context.Context, addrs []transport.Addr, contacts *atomic.Uint64, span *obs.LevelSpan, phase string, req rpc.Request, done func(addr transport.Addr, resp any, err error), copts ...rpc.CallOption) error {
-	if err := ctx.Err(); err != nil {
-		return err
+	if len(pending) > 0 {
+		err = fmt.Errorf("level %d: %w", u, ErrInDoubt)
+		span.Done(false, err)
+		return contacts, err
 	}
-	traced := span.On()
-	var wg sync.WaitGroup
-	for _, addr := range addrs {
-		wg.Add(1)
-		go func(addr transport.Addr) {
-			defer wg.Done()
-			var cs time.Time
-			if traced {
-				cs = time.Now()
-			}
-			resp, err := c.call(ctx, addr, req, contacts, copts...)
-			if traced {
-				span.Contact(int(addr), phase, cs, time.Since(cs), err, errors.Is(err, rpc.ErrTimeout))
-			}
-			done(addr, resp, err)
-		}(addr)
-	}
-	wg.Wait()
-	return nil
+	span.Done(true, nil)
+	return contacts, nil
 }
 
 // Ping probes one replica site, returning nil if it answers in time.
@@ -335,12 +297,20 @@ func (c *Client) Ping(ctx context.Context, site transport.Addr) error {
 	if c.instr != nil {
 		start = time.Now()
 	}
-	var contacts atomic.Uint64
-	resp, err := c.call(ctx, site, replica.PingReq{}, &contacts)
-	if err == nil {
-		if _, ok := resp.(replica.PingResp); !ok {
-			err = fmt.Errorf("client: unexpected ping response %T", resp)
+	contacts := 0
+	var err error
+	if rerr := c.newCollector(ctx).round(1, func(int) (transport.Addr, rpc.Request) {
+		return site, replica.PingReq{}
+	}, nil, "ping", false, func(_ int, resp any, callErr error, contact bool) {
+		if contact {
+			contacts++
 		}
+		if _, ok := resp.(replica.PingResp); callErr == nil && !ok {
+			callErr = fmt.Errorf("client: unexpected ping response %T", resp)
+		}
+		err = callErr
+	}); rerr != nil {
+		err = rerr
 	}
 	if c.instr != nil {
 		c.instr.pingDur.Observe(time.Since(start))
@@ -351,9 +321,9 @@ func (c *Client) Ping(ctx context.Context, site transport.Addr) error {
 		}
 	}
 	if err == nil {
-		op.Finish(obs.OutcomeOK, nil, int(contacts.Load()))
+		op.Finish(obs.OutcomeOK, nil, contacts)
 	} else {
-		op.Finish(obs.OutcomeError, err, int(contacts.Load()))
+		op.Finish(obs.OutcomeError, err, contacts)
 	}
 	return err
 }

@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"arbor/internal/client"
+	"arbor/internal/obs"
 	"arbor/internal/tree"
 )
 
@@ -68,13 +71,18 @@ func TestHedgedProbesNoGoroutineLeak(t *testing.T) {
 
 // TestEngineDeterministicUnderSeed runs the same workload against two
 // identically seeded clusters with hedging enabled and requires identical
-// write-level and read-contact sequences: the engine's rng-driven choices
-// (level rotation, shuffles, exploration draws) must stay reproducible.
-// The hedge delay is set high so the comparison covers the engine's
-// decision stream, not wall-clock race outcomes.
+// write-level and read-contact sequences, and identical sets of sites
+// contacted by every operation: the engine's rng-driven choices (level
+// rotation, shuffles, exploration draws) must stay reproducible however
+// the replies of a read's levels interleave. Each operation's contacts are
+// compared sorted, because a trace records them in completion order, which
+// is timing-dependent by design. The hedge delay is set high so the
+// comparison covers the engine's decision stream, not wall-clock race
+// outcomes.
 func TestEngineDeterministicUnderSeed(t *testing.T) {
+	const writes, reads = 20, 200
 	run := func() []string {
-		tr, err := tree.ParseSpec("1-2-2")
+		tr, err := tree.ParseSpec("1-4-4-4-4")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,25 +91,36 @@ func TestEngineDeterministicUnderSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		cli, err := c.NewClient(client.WithHedgeDelay(50 * time.Millisecond))
+		o := obs.NewObserver(writes + reads)
+		cli, err := c.NewClient(client.WithHedgeDelay(50*time.Millisecond), client.WithObserver(o))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
 		var log []string
-		for i := 0; i < 20; i++ {
+		for i := 0; i < writes; i++ {
 			wr, err := cli.Write(ctx, fmt.Sprintf("k%d", i%3), []byte("v"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			log = append(log, fmt.Sprintf("w:%d", wr.Level))
 		}
-		for i := 0; i < 30; i++ {
+		for i := 0; i < reads; i++ {
 			rd, err := cli.Read(ctx, fmt.Sprintf("k%d", i%3))
 			if err != nil {
 				t.Fatal(err)
 			}
 			log = append(log, fmt.Sprintf("r:%d:%s", rd.Contacts, rd.Value))
+		}
+		for _, op := range o.Rec().Last(writes + reads) {
+			var contacts []string
+			for _, a := range op.Attempts {
+				for _, sc := range a.Contacts {
+					contacts = append(contacts, fmt.Sprintf("%d/%d/%s", a.Level, sc.Site, sc.Phase))
+				}
+			}
+			sort.Strings(contacts)
+			log = append(log, fmt.Sprintf("%s %s: %s", op.Op, op.Key, strings.Join(contacts, " ")))
 		}
 		return log
 	}
@@ -111,7 +130,7 @@ func TestEngineDeterministicUnderSeed(t *testing.T) {
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("op %d diverges: %q vs %q\nfirst:  %v\nsecond: %v", i, a[i], b[i], a, b)
+			t.Fatalf("op %d diverges: %q vs %q", i, a[i], b[i])
 		}
 	}
 }

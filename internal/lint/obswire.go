@@ -14,6 +14,9 @@ var (
 	obsPkg       = segSuffix(`internal/obs`)
 )
 
+// wireCalls names the rpc/transport methods that put traffic on the wire.
+var wireCalls = map[string]bool{"Call": true, "Go": true, "Send": true}
+
 // ObsWire reports exported entry points in the client, rpc and replica
 // packages that send replica traffic but record no observability. PR 1
 // established the discipline: every operation that touches the wire feeds a
@@ -31,8 +34,10 @@ var (
 // uninstrumented one blinds every metric above it.
 //
 // "Sends traffic" means (transitively, through same-package calls) invoking
-// Call or Send on the rpc or transport packages; "records observability"
-// means (transitively) referencing anything from internal/obs.
+// Call, Go (the asynchronous call the client's quorum collector sends
+// through) or Send on the rpc or transport packages; "records
+// observability" means (transitively) referencing anything from
+// internal/obs.
 var ObsWire = &Analyzer{
 	Name: "obswire",
 	Doc:  "exported client/rpc/replica/adapt/transport entry points that touch the wire must be instrumented",
@@ -74,7 +79,7 @@ func runObsWire(pass *Pass) {
 					return true
 				}
 				cp := pkgPathOf(callee)
-				if (callee.Name() == "Call" || callee.Name() == "Send") && pathMatches(cp, wirePkgs) {
+				if wireCalls[callee.Name()] && pathMatches(cp, wirePkgs) {
 					f.wire = true
 				}
 				if callee.Pkg() == pass.Pkg.Types {

@@ -41,5 +41,26 @@ func (c *Client) writeLocked(to transport.Addr) error {
 	return c.caller.Call(to, "write")
 }
 
+// Gather sends through the asynchronous call with no instrumentation on
+// its path: Go is wire traffic just like Call.
+func (c *Client) Gather(peers []transport.Addr) error { // want `exported entry point Gather sends replica traffic but records no metrics or trace`
+	done := make(chan error, len(peers))
+	for _, p := range peers {
+		c.caller.Go(p, "read", done)
+	}
+	for range peers {
+		if err := <-done; err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Collect is Gather instrumented: the read counter satisfies it.
+func (c *Client) Collect(peers []transport.Addr) error {
+	c.reads.Inc()
+	return c.Gather(peers)
+}
+
 // Metrics never touches the wire; no instrumentation needed.
 func (c *Client) Metrics() int { return 0 }

@@ -19,6 +19,12 @@ func (c *Caller) Call(to transport.Addr, payload any) error {
 	return c.ep.Send(to, payload)
 }
 
+// Go is the asynchronous call, instrumented like Call.
+func (c *Caller) Go(to transport.Addr, payload any, done chan<- error) {
+	c.calls.Inc()
+	done <- c.ep.Send(to, payload)
+}
+
 // Send touches the wire with no instrumentation at all.
 func (c *Caller) Send(to transport.Addr, payload any) error { // want `exported entry point Send sends replica traffic but records no metrics or trace`
 	return c.ep.Send(to, payload)

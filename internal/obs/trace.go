@@ -134,7 +134,7 @@ func (r *TraceRecorder) Last(n int) []OpTrace {
 }
 
 // Op accumulates one operation's trace. All methods are safe on a nil
-// receiver and safe for concurrent use (levels are probed in parallel).
+// receiver and safe for concurrent use.
 type Op struct {
 	rec *TraceRecorder
 	mu  sync.Mutex

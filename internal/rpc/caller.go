@@ -1,7 +1,8 @@
 // Package rpc provides the request/response plumbing protocol clients use
 // over the message transport: request-ID allocation, a reply dispatcher,
-// and timeout-based calls. Both the arbitrary-protocol client and the
-// tree-quorum comparator client are built on it.
+// and asynchronous calls with timer-driven reply deadlines. Both the
+// arbitrary-protocol client and the tree-quorum comparator client are
+// built on it.
 package rpc
 
 import (
@@ -17,7 +18,7 @@ import (
 	"arbor/internal/wire"
 )
 
-// ErrClosed is returned by Call after Close.
+// ErrClosed is the outcome of calls made after, or in flight at, Close.
 var ErrClosed = errors.New("rpc: caller closed")
 
 // ErrTimeout is wrapped into the error returned when a call's reply
@@ -89,7 +90,7 @@ type Caller struct {
 	timeout time.Duration
 
 	mu      sync.Mutex
-	pending map[uint64]chan any
+	pending map[uint64]*Call
 	closed  bool
 
 	reqID atomic.Uint64
@@ -122,7 +123,7 @@ func NewCaller(ep transport.Conn, timeout time.Duration, opts ...Option) *Caller
 	c := &Caller{
 		ep:      ep,
 		timeout: timeout,
-		pending: make(map[uint64]chan any),
+		pending: make(map[uint64]*Call),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -158,7 +159,7 @@ func (c *Caller) BreakerStates() map[transport.Addr]BreakerState {
 // Timeout returns the per-request reply deadline.
 func (c *Caller) Timeout() time.Duration { return c.timeout }
 
-// Close stops the dispatcher; outstanding calls fail with ErrClosed.
+// Close stops the dispatcher; calls in flight fail with ErrClosed.
 func (c *Caller) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -167,32 +168,77 @@ func (c *Caller) Close() {
 		return
 	}
 	c.closed = true
-	for id, ch := range c.pending {
-		close(ch)
+	inflight := make([]*Call, 0, len(c.pending))
+	for id, call := range c.pending {
+		inflight = append(inflight, call)
 		delete(c.pending, id)
 	}
 	c.mu.Unlock()
+	for _, call := range inflight {
+		call.timer.Stop()
+		c.release(call)
+		call.deliver(ErrClosed)
+	}
 	close(c.stop)
 	<-c.done
 }
 
-// replyChanPool recycles reply channels across calls. A channel is only
-// returned to the pool when ownership is provably exclusive and the buffer
-// provably empty: either the caller received the reply, or the caller's
-// deferred cleanup found the pending entry unclaimed (the dispatcher sends
-// exactly once, and only after claiming the entry under the mutex).
-// Channels closed by Close are never recycled.
-var replyChanPool = sync.Pool{New: func() any { return make(chan any, 1) }}
+// Call is one request in flight, started by Go. Exactly one outcome — the
+// reply, a timeout, a breaker fast-fail, a send error, ErrClosed, or the
+// error given to Cancel — is delivered for it, as the *Call itself on the
+// channel passed to Go, with Resp or Err set.
+type Call struct {
+	To   transport.Addr
+	Tag  int // the caller's tag, passed to Go and returned untouched
+	Resp any
+	Err  error
 
-// Call sends one request — req, stamped with the allocated request ID —
-// and waits for its reply, the timeout, or context cancellation. Because
-// the ID is stamped per call, one request value can be fanned out to many
-// sites. With a circuit breaker armed, a call to a site whose breaker is
-// open fast-fails with ErrBreakerOpen (unless ForceProbe is given), and
-// every real outcome feeds the breaker; context cancellation is not
-// counted against the site — and, over the TCP transport, cancels only
-// this request, never the multiplexed connection under it.
+	c     *Caller
+	id    uint64
+	probe bool // the call is its site's half-open breaker probe
+	start time.Time
+	timer *time.Timer
+	done  chan<- *Call
+}
+
+// deliver hands the call's outcome to its owner.
+func (call *Call) deliver(err error) {
+	call.Err = err
+	call.done <- call
+}
+
+// callChanPool recycles the one-slot outcome channels of synchronous calls.
+// A channel goes back to the pool only after its call's single outcome was
+// received, so it is always empty when reused.
+var callChanPool = sync.Pool{New: func() any { return make(chan *Call, 1) }}
+
+// Call sends one request and waits for its outcome or context
+// cancellation: the one-contact case of Go.
 func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request, opts ...CallOption) (any, error) {
+	done := callChanPool.Get().(chan *Call)
+	call := c.Go(ctx, to, req, 0, done, opts...)
+	select {
+	case <-done:
+	case <-ctx.Done():
+		c.Cancel(call, ctx.Err())
+		<-done
+	}
+	callChanPool.Put(done)
+	return call.Resp, call.Err
+}
+
+// Go sends one request — req, stamped with a fresh request ID — and returns
+// at once. Because the ID is stamped per call, one request value can be
+// fanned out to many sites. The outcome arrives on done exactly once; done
+// must have room for every call outstanding on it, so the dispatcher never
+// blocks delivering a reply. The reply deadline is a timer, not a parked
+// goroutine. With a circuit breaker armed, a call to a site whose breaker
+// is open fast-fails with ErrBreakerOpen (unless ForceProbe is given), and
+// every real outcome feeds the breaker. Go does not watch ctx for
+// cancellation — that is the caller's to do, through Cancel — but takes the
+// attempt's budget from its deadline.
+func (c *Caller) Go(ctx context.Context, to transport.Addr, req Request, tag int, done chan<- *Call, opts ...CallOption) *Call {
+	call := &Call{To: to, Tag: tag, c: c, done: done}
 	var cc callConfig
 	for _, opt := range opts {
 		opt(&cc)
@@ -207,55 +253,43 @@ func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request, opts 
 		budget = time.Until(deadline)
 		if budget <= 0 {
 			c.deadlineSkips.Inc()
-			if err := ctx.Err(); err != nil {
-				return nil, err
+			err := ctx.Err()
+			if err == nil {
+				err = fmt.Errorf("site %d: deadline spent: %w", to, ErrTimeout)
 			}
-			return nil, fmt.Errorf("site %d: deadline spent: %w", to, ErrTimeout)
+			call.deliver(err)
+			return call
 		}
-		if budget < attempt {
-			attempt = budget
-		}
+		attempt = min(attempt, budget)
 	}
-	probe := false
 	if c.breakers != nil && !cc.force {
-		ok, p := c.breakers.admit(to)
+		ok, probe := c.breakers.admit(to)
 		if !ok {
-			return nil, fmt.Errorf("site %d: %w", to, ErrBreakerOpen)
+			call.deliver(fmt.Errorf("site %d: %w", to, ErrBreakerOpen))
+			return call
 		}
-		probe = p
+		call.probe = probe
 	}
-	id := c.reqID.Add(1)
-	ch := replyChanPool.Get().(chan any)
+	call.id = c.reqID.Add(1)
+	if c.callDur != nil {
+		call.start = time.Now()
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		replyChanPool.Put(ch)
-		if probe {
-			c.breakers.release(to)
-		}
-		return nil, ErrClosed
+		c.release(call)
+		call.deliver(ErrClosed)
+		return call
 	}
-	c.pending[id] = ch
+	c.pending[call.id] = call
+	// The timer closes over the ID, not the call, so a stopped timer
+	// lingering in the runtime's heap pins no reply.
+	id := call.id
+	call.timer = time.AfterFunc(attempt, func() { c.expire(id) })
 	c.mu.Unlock()
-	received := false
-	defer func() {
-		c.mu.Lock()
-		_, unclaimed := c.pending[id]
-		if unclaimed {
-			delete(c.pending, id)
-		}
-		c.mu.Unlock()
-		if unclaimed || received {
-			replyChanPool.Put(ch)
-		}
-	}()
 
 	c.calls.Inc()
-	var start time.Time
-	if c.callDur != nil {
-		start = time.Now()
-	}
-	payload := req.WithReqID(id)
+	payload := req.WithReqID(call.id)
 	if budget > 0 {
 		if dc, ok := payload.(wire.DeadlineCarrier); ok {
 			// Round up so a sub-millisecond budget still rides as 1ms
@@ -264,51 +298,85 @@ func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request, opts 
 			payload = dc.WithDeadline(millis)
 		}
 	}
-	if err := c.ep.Send(to, payload); err != nil {
+	if err := c.ep.Send(to, payload); err != nil && c.claim(call.id) != nil {
 		if c.breakers != nil {
 			c.breakers.failure(to)
 		}
-		return nil, fmt.Errorf("rpc: send to %d: %w", to, err)
+		call.deliver(fmt.Errorf("rpc: send to %d: %w", to, err))
 	}
-	timer := time.NewTimer(attempt)
-	defer timer.Stop()
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			if c.breakers != nil {
-				c.breakers.release(to)
-			}
-			return nil, ErrClosed
-		}
-		received = true
-		if c.callDur != nil {
-			c.callDur.Observe(time.Since(start))
-		}
-		if c.breakers != nil {
-			// An overload reply counts as breaker success: the site
-			// answered instantly, it is alive — just refusing work.
-			c.breakers.success(to)
-		}
-		if ov, shed := resp.(wire.OverloadedResp); shed {
-			c.overloads.Inc()
-			return nil, &overloadedError{site: to, retryAfter: time.Duration(ov.RetryAfterMillis) * time.Millisecond}
-		}
-		return resp, nil
-	case <-timer.C:
-		c.timeouts.Inc()
-		if c.callDur != nil {
-			c.callDur.Observe(time.Since(start))
-		}
-		if c.breakers != nil {
-			c.breakers.failure(to)
-		}
-		return nil, fmt.Errorf("site %d: %w", to, ErrTimeout)
-	case <-ctx.Done():
-		if c.breakers != nil {
-			c.breakers.release(to)
-		}
-		return nil, ctx.Err()
+	return call
+}
+
+// Cancel abandons a call still in flight: a half-open probe is released
+// without a verdict (the site was never really tested) and err is
+// delivered as the call's outcome. Over the TCP transport this cancels only
+// the one request, never the multiplexed connection under it. A call whose
+// outcome is already decided is left alone; that outcome arrives as usual.
+func (c *Caller) Cancel(call *Call, err error) {
+	if c.claim(call.id) != nil {
+		c.release(call)
+		call.deliver(err)
 	}
+}
+
+// claim takes call id out of the pending table and stops its timer,
+// returning nil when the call is no longer in flight. Exactly one of the
+// dispatcher, the timer, Cancel and Close wins the claim and delivers the
+// outcome.
+func (c *Caller) claim(id uint64) *Call {
+	c.mu.Lock()
+	call, ok := c.pending[id]
+	if ok {
+		delete(c.pending, id)
+	}
+	c.mu.Unlock()
+	if ok {
+		call.timer.Stop()
+	}
+	return call
+}
+
+// expire is call id's reply timer: a call still in flight when it fires
+// times out.
+func (c *Caller) expire(id uint64) {
+	call := c.claim(id)
+	if call == nil {
+		return
+	}
+	c.timeouts.Inc()
+	if c.callDur != nil {
+		c.callDur.Observe(time.Since(call.start))
+	}
+	if c.breakers != nil {
+		c.breakers.failure(call.To)
+	}
+	call.deliver(fmt.Errorf("site %d: %w", call.To, ErrTimeout))
+}
+
+// release abandons the call's half-open breaker probe, if it is one.
+func (c *Caller) release(call *Call) {
+	if call.probe {
+		c.breakers.release(call.To)
+	}
+}
+
+// reply settles a call with the response the dispatcher matched to it.
+func (c *Caller) reply(call *Call, resp any) {
+	if c.callDur != nil {
+		c.callDur.Observe(time.Since(call.start))
+	}
+	if c.breakers != nil {
+		// An overload reply counts as breaker success: the site answered
+		// instantly, it is alive — just refusing work.
+		c.breakers.success(call.To)
+	}
+	if ov, shed := resp.(wire.OverloadedResp); shed {
+		c.overloads.Inc()
+		call.deliver(&overloadedError{site: call.To, retryAfter: time.Duration(ov.RetryAfterMillis) * time.Millisecond})
+		return
+	}
+	call.Resp = resp
+	call.deliver(nil)
 }
 
 // Send transmits a payload without awaiting a reply (fire-and-forget).
@@ -333,7 +401,8 @@ func (c *Caller) SetSendHook(fn func(to transport.Addr, payload any)) {
 	c.mu.Unlock()
 }
 
-// dispatch routes replies to waiting calls.
+// dispatch matches replies to calls in flight by request ID; it is the
+// caller's only goroutine.
 func (c *Caller) dispatch() {
 	defer close(c.done)
 	for {
@@ -345,14 +414,8 @@ func (c *Caller) dispatch() {
 			if !ok {
 				continue
 			}
-			c.mu.Lock()
-			ch, ok := c.pending[id]
-			if ok {
-				delete(c.pending, id)
-			}
-			c.mu.Unlock()
-			if ok {
-				ch <- msg.Payload
+			if call := c.claim(id); call != nil {
+				c.reply(call, msg.Payload)
 			}
 		}
 	}

@@ -100,6 +100,42 @@ func TestCallUnknownDestination(t *testing.T) {
 	}
 }
 
+// TestGoDeliversEveryOutcomeOnce: a reply, a timeout, a cancellation and
+// Close each settle an asynchronous call exactly once, on the channel it
+// was started with and under the tag it was given.
+func TestGoDeliversEveryOutcomeOnce(t *testing.T) {
+	c, _ := newPair(t, 30*time.Millisecond)
+	ctx := context.Background()
+	done := make(chan *Call, 4)
+	answered := c.Go(ctx, 1, replica.PingReq{}, 0, done)
+	c.Go(ctx, 1, replica.VersionReq{Key: "k"}, 1, done) // dropped by the echo server
+	c.Cancel(c.Go(ctx, 1, replica.VersionReq{Key: "k"}, 2, done), context.Canceled)
+	got := make(map[int]*Call)
+	for i := 0; i < 3; i++ {
+		call := <-done
+		got[call.Tag] = call
+	}
+	c.Go(ctx, 1, replica.VersionReq{Key: "k"}, 3, done)
+	c.Close()
+	call := <-done
+	got[call.Tag] = call
+	c.Cancel(answered, context.Canceled) // already settled: no second outcome
+
+	if pong, ok := got[0].Resp.(replica.PingResp); !ok || got[0].Err != nil || pong.Site != 1 {
+		t.Errorf("answered call = %#v, %v", got[0].Resp, got[0].Err)
+	}
+	for tag, want := range map[int]error{1: ErrTimeout, 2: context.Canceled, 3: ErrClosed} {
+		if got[tag] == nil || !errors.Is(got[tag].Err, want) {
+			t.Errorf("call %d: outcome %+v, want %v", tag, got[tag], want)
+		}
+	}
+	select {
+	case extra := <-done:
+		t.Errorf("call %d settled twice", extra.Tag)
+	case <-time.After(60 * time.Millisecond): // past every call's reply timer
+	}
+}
+
 func TestFireAndForgetSend(t *testing.T) {
 	c, _ := newPair(t, time.Second)
 	if err := c.Send(1, replica.PingReq{}); err != nil {
