@@ -38,6 +38,7 @@ import (
 	"arbor/internal/obs"
 	"arbor/internal/rpc"
 	"arbor/internal/tree"
+	"arbor/internal/wire"
 )
 
 // Tree is a replica tree of logical and physical nodes.
@@ -150,17 +151,11 @@ var (
 )
 
 // Codec is a wire codec: a versioned, self-contained encoding of the
-// protocol's message set. BinaryCodec is the default length-prefixed binary
-// format; GobCodec keeps the legacy encoding/gob format available.
-type Codec = rpc.Codec
+// protocol's message set. BinaryCodec is the one implementation.
+type Codec = wire.Codec
 
-// Wire codec constructors, re-exported from internal/rpc.
-var (
-	// BinaryCodec returns the hand-rolled length-prefixed binary codec.
-	BinaryCodec = rpc.BinaryCodec
-	// GobCodec returns the encoding/gob-based codec.
-	GobCodec = rpc.GobCodec
-)
+// BinaryCodec returns the hand-rolled length-prefixed binary codec.
+var BinaryCodec = wire.Binary
 
 // Observer bundles a metrics registry and an operation trace recorder.
 // Attach one to a cluster with WithObserver; read it with

@@ -61,6 +61,7 @@ func TestRunErrors(t *testing.T) {
 		{"-spec", "1-3-5", "-crash", "xyz"},
 		{"-spec", "1-3-5", "-crash", "99"},
 		{"-spec", "1-3-5", "-schedule", "bad"},
+		{"-spec", "1-3-5", "-codec", "gob"},
 		{"-bogus"},
 	} {
 		if err := run(args); err == nil {

@@ -2,24 +2,11 @@ package replica
 
 import (
 	"bufio"
-	"encoding/binary"
-	//lint:ignore wireclosed legacy snapshot fallback: pre-codec snapshots on disk are gob; decode-only, never written
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 
 	"arbor/internal/wire"
 )
-
-// snapshotEntry is the legacy (gob) serialized form of one stored key,
-// kept only so snapshots written by earlier releases restore through the
-// fallback path.
-type snapshotEntry struct {
-	Key   string
-	Value []byte
-	TS    Timestamp
-}
 
 // Snapshot serializes the store's full contents: a two-byte header
 // followed by one length-prefixed, self-contained binary record per key
@@ -58,18 +45,10 @@ func (s *Store) Snapshot(w io.Writer) error {
 
 // Restore merges a snapshot into the store. Entries older than what the
 // store already holds are ignored (timestamp-ordered Apply), so restoring
-// an old snapshot never regresses state. Legacy streaming-gob snapshots
-// are detected by their first byte (a binary snapshot starts with a magic
-// byte no gob stream can begin with) and restored through the fallback.
+// an old snapshot never regresses state. A snapshot must end on a record
+// boundary: any torn or undecodable record is an error.
 func (s *Store) Restore(r io.Reader) error {
 	br := bufio.NewReader(r)
-	first, err := br.Peek(1)
-	if err != nil {
-		return fmt.Errorf("replica: restore: %w", err)
-	}
-	if first[0] != wire.SnapshotMagic {
-		return s.restoreGob(br)
-	}
 	hdr := make([]byte, 2)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return fmt.Errorf("replica: restore: %w", err)
@@ -77,39 +56,10 @@ func (s *Store) Restore(r io.Reader) error {
 	if err := wire.CheckSnapshotHeader(hdr); err != nil {
 		return fmt.Errorf("replica: restore: %w", err)
 	}
-	var lenb [4]byte
-	for {
-		if _, err := io.ReadFull(br, lenb[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("replica: restore: %w", err)
-		}
-		n := binary.BigEndian.Uint32(lenb[:])
-		if n == 0 || n > wire.MaxRecord {
-			return fmt.Errorf("replica: restore: implausible record length %d", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return fmt.Errorf("replica: restore: %w", err)
-		}
-		rec, err := wire.DecodeRecord(buf)
-		if err != nil {
-			return fmt.Errorf("replica: restore: %w", err)
-		}
+	if _, err := wire.ReadFramedRecords(br, func(rec wire.Record) {
 		s.Apply(rec.Key, rec.Value, rec.TS)
-	}
-}
-
-// restoreGob restores a legacy snapshot: one streaming gob encoding of the
-// full entry slice.
-func (s *Store) restoreGob(r io.Reader) error {
-	var entries []snapshotEntry
-	if err := gob.NewDecoder(r).Decode(&entries); err != nil {
+	}); err != nil {
 		return fmt.Errorf("replica: restore: %w", err)
-	}
-	for _, e := range entries {
-		s.Apply(e.Key, e.Value, e.TS)
 	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"arbor/internal/wire"
 )
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
@@ -67,10 +69,18 @@ func TestRestoreMergesNewerEntries(t *testing.T) {
 	}
 }
 
+// TestRestoreGarbage: a snapshot that lacks its header, or that does not
+// end on a record boundary, is an error rather than a silent partial
+// restore.
 func TestRestoreGarbage(t *testing.T) {
-	s := NewStore()
-	if err := s.Restore(strings.NewReader("not a gob stream")); err == nil {
-		t.Error("garbage restore succeeded")
+	if err := NewStore().Restore(strings.NewReader("not a snapshot")); err == nil {
+		t.Error("headerless restore succeeded")
+	}
+	for _, tc := range tornTails() {
+		input := append(wire.SnapshotHeader(), tc.tail...)
+		if err := NewStore().Restore(bytes.NewReader(input)); err == nil {
+			t.Errorf("%s: restore succeeded", tc.name)
+		}
 	}
 }
 

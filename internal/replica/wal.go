@@ -1,30 +1,13 @@
 package replica
 
 import (
-	"bytes"
-	"encoding/binary"
-	//lint:ignore wireclosed legacy WAL fallback: journals from pre-codec sessions hold gob records; decode-only, never written
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 
 	"arbor/internal/wire"
 )
-
-// walRecord is the legacy (gob) form of one journaled write, kept only so
-// journals written by earlier releases replay through the fallback path.
-type walRecord struct {
-	Key   string
-	Value []byte
-	TS    Timestamp
-}
-
-// walMaxRecord bounds a record's encoded size during replay, so a corrupt
-// length prefix cannot ask for an absurd allocation.
-const walMaxRecord = wire.MaxRecord
 
 // walBufPool recycles append buffers; WAL appends sit on every committed
 // write, so the encode must not allocate per record.
@@ -59,9 +42,7 @@ func (w *WAL) Path() string { return w.path }
 // sessions appended by successive process incarnations replay seamlessly
 // (a single streaming encoder with cross-record state would poison replay
 // of everything after the first session — the bug class the chaos harness
-// caught in the original gob WAL). Journals may freely mix legacy gob
-// records and binary records; replay tells them apart by the record's
-// first byte.
+// caught in the original WAL).
 func (w *WAL) Append(key string, value []byte, ts Timestamp) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -69,7 +50,7 @@ func (w *WAL) Append(key string, value []byte, ts Timestamp) error {
 		return errors.New("replica: wal closed")
 	}
 	bp := walBufPool.Get().(*[]byte)
-	buf := appendStoreRecord((*bp)[:0], key, value, ts)
+	buf := wire.AppendFramedRecord((*bp)[:0], wire.Record{Key: key, Value: value, TS: ts})
 	_, err := w.f.Write(buf)
 	*bp = buf
 	walBufPool.Put(bp)
@@ -94,54 +75,23 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// decodeWALBody parses one record body: a binary wire record, or — for
-// journals written by earlier releases — a self-contained gob blob.
-func decodeWALBody(buf []byte) (wire.Record, bool) {
-	if rec, err := wire.DecodeRecord(buf); err == nil {
-		return rec, true
-	} else if !errors.Is(err, wire.ErrNotRecord) {
-		return wire.Record{}, false
-	}
-	var legacy walRecord
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&legacy); err != nil {
-		return wire.Record{}, false
-	}
-	return wire.Record{Key: legacy.Key, Value: legacy.Value, TS: legacy.TS}, true
-}
-
 // ReplayWAL reads the journal at path and applies every decodable record to
-// the store, stopping silently at a truncated tail (the record being
-// written when the process died). It returns the number of records applied.
+// the store, stopping silently at a torn tail. It returns the number of
+// records applied.
 func ReplayWAL(path string, s *Store) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, fmt.Errorf("replica: open wal for replay: %w", err)
 	}
 	defer f.Close()
-	applied := 0
-	for {
-		// A torn tail — short header, short payload, undecodable record or
-		// an implausible length — is expected after a crash: anything
-		// already decoded is applied, the rest is unrecoverable noise.
-		var hdr [4]byte
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return applied, nil
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n == 0 || n > walMaxRecord {
-			return applied, nil
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(f, buf); err != nil {
-			return applied, nil
-		}
-		rec, ok := decodeWALBody(buf)
-		if !ok {
-			return applied, nil
-		}
+	// A torn tail — short header, short payload, undecodable record or an
+	// implausible length — is expected after a crash: the record being
+	// written when the process died is unrecoverable noise, so the read
+	// error is dropped and everything before it stands.
+	applied, _ := wire.ReadFramedRecords(f, func(rec wire.Record) {
 		s.Apply(rec.Key, rec.Value, rec.TS)
-		applied++
-	}
+	})
+	return applied, nil
 }
 
 // AttachJournal makes the store append every successful Apply to the WAL.

@@ -1,9 +1,12 @@
 package replica
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"arbor/internal/wire"
 )
 
 func newWAL(t *testing.T) (*WAL, string) {
@@ -67,31 +70,55 @@ func TestWALIgnoresIneffectiveApplies(t *testing.T) {
 	}
 }
 
-func TestWALReplayToleratesTornTail(t *testing.T) {
-	w, path := newWAL(t)
-	s := NewStore()
-	s.AttachJournal(w)
-	s.Apply("k", []byte("v"), Timestamp{Version: 1, Site: 1})
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+// tornTails are the shapes a framed-record stream can end in when the
+// writer died mid-record or the bytes were damaged: every way the shared
+// record reader can stop short of a clean record boundary.
+func tornTails() []struct {
+	name string
+	tail []byte
+} {
+	framed := wire.AppendFramedRecord(nil, wire.Record{Key: "k2", Value: []byte("v2"), TS: Timestamp{Version: 2, Site: 1}})
+	return []struct {
+		name string
+		tail []byte
+	}{
+		{"garbage", []byte{0x01, 0x02}},
+		{"short_header", []byte{0, 0, 0}},
+		{"zero_length", []byte{0, 0, 0, 0}},
+		{"oversized_length", binary.BigEndian.AppendUint32(nil, wire.MaxRecord+1)},
+		{"short_body", framed[:len(framed)-1]},
+		{"not_a_record", []byte{0, 0, 0, 3, 0x01, 0x02, 0x03}},
 	}
-	// Simulate a crash mid-append by appending garbage bytes.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0x01, 0x02}); err != nil {
-		t.Fatal(err)
-	}
-	_ = f.Close()
+}
 
-	fresh := NewStore()
-	applied, err := ReplayWAL(path, fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 1 {
-		t.Errorf("replayed %d records, want the 1 intact one", applied)
+func TestWALReplayToleratesTornTail(t *testing.T) {
+	for _, tc := range tornTails() {
+		t.Run(tc.name, func(t *testing.T) {
+			w, path := newWAL(t)
+			s := NewStore()
+			s.AttachJournal(w)
+			s.Apply("k", []byte("v"), Timestamp{Version: 1, Site: 1})
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Simulate a crash mid-append by appending the torn tail.
+			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(tc.tail); err != nil {
+				t.Fatal(err)
+			}
+			_ = f.Close()
+
+			applied, err := ReplayWAL(path, NewStore())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if applied != 1 {
+				t.Errorf("replayed %d records, want the 1 intact one", applied)
+			}
+		})
 	}
 }
 

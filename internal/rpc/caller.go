@@ -18,6 +18,11 @@ import (
 	"arbor/internal/wire"
 )
 
+// Request is a payload carrying a caller-allocated request ID; every
+// protocol request type implements it. Call stamps the ID right before
+// sending.
+type Request = wire.Request
+
 // ErrClosed is the outcome of calls made after, or in flight at, Close.
 var ErrClosed = errors.New("rpc: caller closed")
 

@@ -45,6 +45,10 @@ const (
 // helloMagic opens every HELLO frame.
 var helloMagic = [4]byte{'A', 'R', 'B', 'W'}
 
+// frameCodec encodes every frame payload. The HELLO still announces its
+// name and version, because the acceptor must validate what a peer claims.
+var frameCodec = wire.Binary()
+
 // frameBufPool recycles encode and decode buffers; framing sits on every
 // message, so the hot path must not allocate per frame.
 var frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
@@ -55,17 +59,8 @@ type TCPOption interface {
 }
 
 type tcpOptions struct {
-	codec        wire.Codec
 	connsPerPeer int
 }
-
-type tcpCodecOption struct{ c wire.Codec }
-
-func (o tcpCodecOption) applyTCP(opts *tcpOptions) { opts.codec = o.c }
-
-// WithTCPCodec selects the wire codec (default: the binary codec). Both
-// ends of every connection must agree; the HELLO handshake enforces it.
-func WithTCPCodec(c wire.Codec) TCPOption { return tcpCodecOption{c: c} }
 
 type connsPerPeerOption int
 
@@ -93,7 +88,7 @@ type TCPNetwork struct {
 
 // NewTCPNetwork creates an empty TCP transport registry.
 func NewTCPNetwork(opts ...TCPOption) *TCPNetwork {
-	o := tcpOptions{codec: wire.Binary(), connsPerPeer: defaultConnsPerPeer}
+	o := tcpOptions{connsPerPeer: defaultConnsPerPeer}
 	for _, opt := range opts {
 		opt.applyTCP(&o)
 	}
@@ -106,9 +101,6 @@ func NewTCPNetwork(opts ...TCPOption) *TCPNetwork {
 		listeners: make(map[Addr]*TCPEndpoint),
 	}
 }
-
-// Codec returns the codec this network frames messages with.
-func (n *TCPNetwork) Codec() wire.Codec { return n.opts.codec }
 
 // TCPEndpoint is one TCP-backed attachment point.
 type TCPEndpoint struct {
@@ -257,7 +249,7 @@ func (e *TCPEndpoint) Conns() int {
 	return total
 }
 
-// Send encodes the payload with the network's codec and writes one frame
+// Send encodes the payload with the binary codec and writes one frame
 // to a pooled connection. A broken connection is dropped and the frame
 // retried once on a fresh pick. Encode buffers are pooled: steady-state
 // sends do not allocate in the framing layer.
@@ -266,7 +258,7 @@ func (e *TCPEndpoint) Send(to Addr, payload any) error {
 	buf := append((*bp)[:0], 0, 0, 0, 0)
 	buf = binary.AppendVarint(buf, int64(e.addr))
 	buf = binary.AppendVarint(buf, int64(to))
-	buf, err := e.net.opts.codec.Encode(buf, payload)
+	buf, err := frameCodec.Encode(buf, payload)
 	if err == nil && len(buf)-4 > tcpMaxFrame {
 		err = fmt.Errorf("transport: frame to %d exceeds %d bytes", to, tcpMaxFrame)
 	}
@@ -379,12 +371,11 @@ func (e *TCPEndpoint) growRoute(to Addr, r *peerRoute) error {
 // hello builds the handshake frame announcing this endpoint's address and
 // the codec it will frame messages with.
 func (e *TCPEndpoint) hello() []byte {
-	codec := e.net.opts.codec
-	name := codec.Name()
+	name := frameCodec.Name()
 	body := make([]byte, 0, 4+1+1+len(name)+binary.MaxVarintLen64+4)
 	body = append(body, 0, 0, 0, 0)
 	body = append(body, helloMagic[:]...)
-	body = append(body, codec.Version())
+	body = append(body, frameCodec.Version())
 	body = binary.AppendUvarint(body, uint64(len(name)))
 	body = append(body, name...)
 	body = binary.AppendVarint(body, int64(e.addr))
@@ -392,13 +383,12 @@ func (e *TCPEndpoint) hello() []byte {
 	return body
 }
 
-// parseHello validates a HELLO body against this endpoint's codec and
+// parseHello validates a HELLO body against the frame codec and
 // returns the dialer's address.
 func (e *TCPEndpoint) parseHello(body []byte) (Addr, error) {
 	if len(body) < 5 || [4]byte(body[:4]) != helloMagic {
 		return 0, errors.New("transport: not a hello frame")
 	}
-	codec := e.net.opts.codec
 	version := body[4]
 	rest := body[5:]
 	nameLen, k := binary.Uvarint(rest)
@@ -407,9 +397,9 @@ func (e *TCPEndpoint) parseHello(body []byte) (Addr, error) {
 	}
 	name := string(rest[k : k+int(nameLen)])
 	rest = rest[k+int(nameLen):]
-	if name != codec.Name() || version != codec.Version() {
+	if name != frameCodec.Name() || version != frameCodec.Version() {
 		return 0, fmt.Errorf("transport: codec mismatch: peer speaks %s/v%d, this end %s/v%d",
-			name, version, codec.Name(), codec.Version())
+			name, version, frameCodec.Name(), frameCodec.Version())
 	}
 	peer, k := binary.Varint(rest)
 	if k <= 0 || k != len(rest) {
@@ -537,7 +527,7 @@ func (e *TCPEndpoint) readLoop(wc *wireConn, peer Addr) {
 		if k1 <= 0 || k2 <= 0 {
 			err = errors.New("transport: malformed frame addresses")
 		} else {
-			payload, err = e.net.opts.codec.Decode(buf[k1+k2:])
+			payload, err = frameCodec.Decode(buf[k1+k2:])
 		}
 		*bp = buf
 		frameBufPool.Put(bp)

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -171,35 +173,76 @@ func TestTCPDialOnlyEndpointHearsReplies(t *testing.T) {
 	}
 }
 
+// TestTCPCodecMismatchRefusesConnection dials a listener with a raw socket
+// and announces a codec in the HELLO. The acceptor must close the
+// connection on a name or version mismatch and deliver nothing, even when a
+// well-formed frame follows the handshake. The matching case proves the
+// hand-built HELLO and frame are otherwise valid.
 func TestTCPCodecMismatchRefusesConnection(t *testing.T) {
-	nBin := NewTCPNetwork()
-	defer nBin.Close()
-	srv, err := nBin.Register(1)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		codec   string
+		version byte
+		accept  bool
+	}{
+		{"binary/v1", "binary", 1, false},
+		{"gob/v1", "gob", 1, false},
+		{"binary/v2", "binary", 2, true},
 	}
-	// A second registry speaking gob, sharing the listener table by dialing
-	// the binary listener's port directly: simulate by pointing a gob
-	// network's lookup at the same endpoint via a cross-registered address.
-	nGob := NewTCPNetwork(WithTCPCodec(wire.Gob()))
-	defer nGob.Close()
-	cli, err := nGob.Dial(-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Splice the binary listener into the gob registry so Dial can route.
-	nGob.mu.Lock()
-	nGob.listeners[1] = srv
-	nGob.mu.Unlock()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := NewTCPNetwork()
+			defer n.Close()
+			srv, err := n.Register(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := net.Dial("tcp", srv.ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
 
-	cep := cli.(*TCPEndpoint)
-	_ = cep.Send(1, ping(1)) // first write may succeed into OS buffers
-	// The acceptor must refuse the handshake: nothing is delivered and the
-	// mismatch surfaces as a dead connection on retry.
-	select {
-	case msg := <-srv.Recv():
-		t.Fatalf("mismatched codec delivered %#v", msg.Payload)
-	case <-time.After(300 * time.Millisecond):
+			hello := append([]byte(nil), helloMagic[:]...)
+			hello = append(hello, tc.version)
+			hello = binary.AppendUvarint(hello, uint64(len(tc.codec)))
+			hello = append(hello, tc.codec...)
+			hello = binary.AppendVarint(hello, -1)
+			frame := binary.AppendVarint(nil, -1)
+			frame = binary.AppendVarint(frame, 1)
+			frame, err = wire.Binary().Encode(frame, ping(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out []byte
+			for _, body := range [][]byte{hello, frame} {
+				out = binary.BigEndian.AppendUint32(out, uint32(len(body)))
+				out = append(out, body...)
+			}
+			if _, err := c.Write(out); err != nil {
+				t.Fatal(err)
+			}
+
+			if tc.accept {
+				if got := recvOne(t, srv).Payload; got != ping(7) {
+					t.Fatalf("delivered %#v, want %#v", got, ping(7))
+				}
+				return
+			}
+			// The acceptor closes its end: the read ends in EOF or a reset,
+			// not in our deadline.
+			_ = c.SetReadDeadline(time.Now().Add(2 * time.Second))
+			_, err = c.Read(make([]byte, 1))
+			var ne net.Error
+			if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+				t.Fatalf("acceptor kept the connection open (read err %v)", err)
+			}
+			select {
+			case msg := <-srv.Recv():
+				t.Fatalf("mismatched codec delivered %#v", msg.Payload)
+			case <-time.After(50 * time.Millisecond):
+			}
+		})
 	}
 }
 

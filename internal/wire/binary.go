@@ -6,14 +6,10 @@ import (
 	"fmt"
 )
 
-// binaryVersion is the current wire-format version of the binary codec.
-// Version 2 appended a deadline (uvarint millis-remaining) to every request
-// type and added OverloadedResp; Decode still accepts version-1 frames,
-// which simply carry no deadline.
+// binaryVersion is the wire-format version of the binary codec, the only
+// version Decode accepts. Version 2 appended a deadline (uvarint
+// millis-remaining) to every request type and added OverloadedResp.
 const binaryVersion byte = 2
-
-// binaryVersionLegacy is the oldest frame version Decode still accepts.
-const binaryVersionLegacy byte = 1
 
 // Binary returns the hand-rolled binary codec, the default wire format.
 //
@@ -157,56 +153,46 @@ func (binaryCodec) Encode(dst []byte, payload any) ([]byte, error) {
 }
 
 // Decode parses one binary-encoded message. Returned payloads never alias
-// data (byte-slice fields are copied out). Version-1 frames (pre-deadline)
-// are still accepted: their requests decode with a zero DeadlineMillis.
+// data (byte-slice fields are copied out).
 func (binaryCodec) Decode(data []byte) (any, error) {
 	if len(data) < 2 {
 		return nil, errors.New("wire: short message")
 	}
-	ver := data[0]
-	if ver < binaryVersionLegacy || ver > binaryVersion {
-		return nil, fmt.Errorf("wire: binary version %d, want %d..%d", ver, binaryVersionLegacy, binaryVersion)
+	if data[0] != binaryVersion {
+		return nil, fmt.Errorf("wire: binary version %d, want %d", data[0], binaryVersion)
 	}
 	tag := data[1]
 	r := reader{buf: data[2:]}
-	// deadline reads the trailing millis-remaining field on request types;
-	// version-1 frames predate it and decode as "no deadline".
-	deadline := func() uint64 {
-		if ver < 2 {
-			return 0
-		}
-		return r.uvarint()
-	}
 	var out any
 	switch tag {
 	case tagVersionReq:
-		out = VersionReq{ReqID: r.uvarint(), Key: r.str(), ForWrite: r.bool(), DeadlineMillis: deadline()}
+		out = VersionReq{ReqID: r.uvarint(), Key: r.str(), ForWrite: r.bool(), DeadlineMillis: r.uvarint()}
 	case tagVersionResp:
 		out = VersionResp{ReqID: r.uvarint(), Key: r.str(), TS: r.ts(), Found: r.bool(), Refused: r.bool()}
 	case tagReadReq:
-		out = ReadReq{ReqID: r.uvarint(), Key: r.str(), DeadlineMillis: deadline()}
+		out = ReadReq{ReqID: r.uvarint(), Key: r.str(), DeadlineMillis: r.uvarint()}
 	case tagReadResp:
 		out = ReadResp{ReqID: r.uvarint(), Key: r.str(), Value: r.bytes(), TS: r.ts(), Found: r.bool(), Refused: r.bool()}
 	case tagPrepareReq:
-		out = PrepareReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), TS: r.ts(), DeadlineMillis: deadline()}
+		out = PrepareReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), TS: r.ts(), DeadlineMillis: r.uvarint()}
 	case tagPrepareResp:
 		out = PrepareResp{ReqID: r.uvarint(), TxID: r.uvarint(), OK: r.bool(), Reason: r.str()}
 	case tagCommitReq:
-		out = CommitReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), Value: r.bytes(), TS: r.ts(), DeadlineMillis: deadline()}
+		out = CommitReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), Value: r.bytes(), TS: r.ts(), DeadlineMillis: r.uvarint()}
 	case tagCommitResp:
 		out = CommitResp{ReqID: r.uvarint(), TxID: r.uvarint(), OK: r.bool()}
 	case tagAbortReq:
-		out = AbortReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), DeadlineMillis: deadline()}
+		out = AbortReq{ReqID: r.uvarint(), TxID: r.uvarint(), Key: r.str(), DeadlineMillis: r.uvarint()}
 	case tagAbortResp:
 		out = AbortResp{ReqID: r.uvarint(), TxID: r.uvarint()}
 	case tagPingReq:
-		out = PingReq{ReqID: r.uvarint(), DeadlineMillis: deadline()}
+		out = PingReq{ReqID: r.uvarint(), DeadlineMillis: r.uvarint()}
 	case tagPingResp:
 		out = PingResp{ReqID: r.uvarint(), Site: int(r.varint())}
 	case tagOverloadedResp:
 		out = OverloadedResp{ReqID: r.uvarint(), RetryAfterMillis: r.uvarint()}
 	case tagSyncDigestReq:
-		out = SyncDigestReq{ReqID: r.uvarint(), StartAfter: r.str(), Limit: int(r.varint()), DeadlineMillis: deadline()}
+		out = SyncDigestReq{ReqID: r.uvarint(), StartAfter: r.str(), Limit: int(r.varint()), DeadlineMillis: r.uvarint()}
 	case tagSyncDigestResp:
 		m := SyncDigestResp{ReqID: r.uvarint()}
 		if n := r.count(); n > 0 {
@@ -225,7 +211,7 @@ func (binaryCodec) Decode(data []byte) (any, error) {
 				m.Keys[i] = r.str()
 			}
 		}
-		m.DeadlineMillis = deadline()
+		m.DeadlineMillis = r.uvarint()
 		out = m
 	case tagSyncFetchResp:
 		m := SyncFetchResp{ReqID: r.uvarint()}

@@ -57,29 +57,29 @@ func vectors() []struct {
 	}
 }
 
-// TestRoundTripBothCodecs: every message survives encode→decode under both
-// codecs, and the binary encoding is a byte-level fixpoint.
+// TestRoundTripBothCodecs: every message survives encode→decode, and the
+// encoding is a byte-level fixpoint. (The name predates the removal of the
+// second codec; it is kept so the test's identity stays stable.)
 func TestRoundTripBothCodecs(t *testing.T) {
-	for _, codec := range []Codec{Binary(), Gob()} {
-		for _, v := range vectors() {
-			enc, err := codec.Encode(nil, v.msg)
-			if err != nil {
-				t.Fatalf("%s/%s: encode: %v", codec.Name(), v.name, err)
-			}
-			dec, err := codec.Decode(enc)
-			if err != nil {
-				t.Fatalf("%s/%s: decode: %v", codec.Name(), v.name, err)
-			}
-			if !reflect.DeepEqual(dec, v.msg) {
-				t.Errorf("%s/%s: round trip\n got %#v\nwant %#v", codec.Name(), v.name, dec, v.msg)
-			}
-			enc2, err := codec.Encode(nil, dec)
-			if err != nil {
-				t.Fatalf("%s/%s: re-encode: %v", codec.Name(), v.name, err)
-			}
-			if codec.Name() == "binary" && !bytes.Equal(enc, enc2) {
-				t.Errorf("%s/%s: re-encoding differs:\n %x\n %x", codec.Name(), v.name, enc, enc2)
-			}
+	codec := Binary()
+	for _, v := range vectors() {
+		enc, err := codec.Encode(nil, v.msg)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", v.name, err)
+		}
+		dec, err := codec.Decode(enc)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", v.name, err)
+		}
+		if !reflect.DeepEqual(dec, v.msg) {
+			t.Errorf("%s: round trip\n got %#v\nwant %#v", v.name, dec, v.msg)
+		}
+		enc2, err := codec.Encode(nil, dec)
+		if err != nil {
+			t.Fatalf("%s: re-encode: %v", v.name, err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Errorf("%s: re-encoding differs:\n %x\n %x", v.name, enc, enc2)
 		}
 	}
 }
@@ -150,53 +150,6 @@ func TestGoldenVectors(t *testing.T) {
 	}
 }
 
-// TestLegacyV1FramesDecode pins backward compatibility: every byte vector
-// of the version-1 corpus (frozen when the deadline field did not exist)
-// must still decode, requests coming back with a zero DeadlineMillis, and
-// must re-encode as a stable version-2 frame. The v1 file is never
-// regenerated — it IS the compatibility contract.
-func TestLegacyV1FramesDecode(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "golden_binary_v1.txt"))
-	if err != nil {
-		t.Fatalf("legacy golden file missing: %v", err)
-	}
-	c := Binary()
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		name, hexEnc, ok := strings.Cut(line, " ")
-		if !ok {
-			t.Fatalf("malformed legacy golden line %q", line)
-		}
-		raw, err := hex.DecodeString(hexEnc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg, err := c.Decode(raw)
-		if err != nil {
-			t.Errorf("%s: v1 frame no longer decodes: %v", name, err)
-			continue
-		}
-		if dc, ok := msg.(DeadlineCarrier); ok {
-			if stamped := dc.WithDeadline(0); !reflect.DeepEqual(stamped, msg) {
-				t.Errorf("%s: v1 frame decoded with a non-zero deadline: %#v", name, msg)
-			}
-		}
-		// The legacy frame upgrades to a stable v2 encoding.
-		enc, err := c.Encode(nil, msg)
-		if err != nil {
-			t.Errorf("%s: upgraded message does not re-encode: %v", name, err)
-			continue
-		}
-		dec, err := c.Decode(enc)
-		if err != nil {
-			t.Errorf("%s: upgraded frame does not decode: %v", name, err)
-			continue
-		}
-		if !reflect.DeepEqual(dec, msg) {
-			t.Errorf("%s: upgrade round trip diverged:\n got %#v\nwant %#v", name, dec, msg)
-		}
-	}
-}
-
 func TestEncodeAppends(t *testing.T) {
 	c := Binary()
 	prefix := []byte{0xAA, 0xBB}
@@ -228,6 +181,9 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"trailing_bytes":   append(append([]byte(nil), enc...), 0),
 		"bad_bool":         func() []byte { b := append([]byte(nil), enc...); b[len(b)-1] = 7; return b }(),
 		"absurd_slice_len": {binaryVersion, tagSyncFetchReq, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
+		// A version-1 read_req (no deadline field): the v1 layout is no
+		// longer accepted.
+		"version_one": {1, tagReadReq, 1, 1, 'k'},
 	}
 	for name, data := range cases {
 		if _, err := c.Decode(data); err == nil {
@@ -261,17 +217,19 @@ func TestDecodedValueDoesNotAliasInput(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for name, want := range map[string]string{"": "binary", "binary": "binary", "gob": "gob"} {
+	for _, name := range []string{"", "binary"} {
 		c, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
 		}
-		if c.Name() != want {
-			t.Errorf("ByName(%q).Name() = %q, want %q", name, c.Name(), want)
+		if c.Name() != "binary" {
+			t.Errorf("ByName(%q).Name() = %q, want binary", name, c.Name())
 		}
 	}
-	if _, err := ByName("json"); err == nil {
-		t.Error("ByName accepted an unknown codec")
+	for _, name := range []string{"gob", "json"} {
+		if _, err := ByName(name); err == nil {
+			t.Errorf("ByName accepted codec %q", name)
+		}
 	}
 }
 

@@ -92,9 +92,9 @@ func FuzzBinaryDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{binaryVersion, tagSyncDigestResp, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	// A version-1 legacy frame (read_req without the trailing deadline):
-	// the decoder must keep accepting the old layout.
-	f.Add([]byte{binaryVersionLegacy, tagReadReq, 1, 1, 'k'})
+	// A version-1 frame (read_req without the trailing deadline): the
+	// decoder must reject the retired layout.
+	f.Add([]byte{1, tagReadReq, 1, 1, 'k'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := c.Decode(data)
 		if err != nil {

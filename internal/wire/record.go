@@ -1,28 +1,26 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 )
 
 // Record is one durable store entry — the unit the WAL journals and
 // snapshots stream. Its binary form is self-contained and decodable from
 // any record boundary, the property that keeps multi-session journals
-// replayable (PR 4's WAL bug class: a streaming gob encoder re-emits type
-// descriptors on reopen and poisons everything after the first session).
+// replayable: no encoder state spans records, so a journal appended by
+// successive process incarnations reads as one stream.
 type Record struct {
 	Key   string
 	Value []byte
 	TS    Timestamp
 }
 
-// RecordMagic is the first byte of every binary-encoded record. The value
-// is chosen from the range 0x80–0xF7, which can never start a gob stream
-// (gob's leading segment length is either a single byte ≤ 0x7F or a
-// multi-byte marker ≥ 0xF8), so one peeked byte tells a binary record from
-// a legacy gob blob and old files keep replaying through the fallback.
-const RecordMagic byte = 0xA6
+// recordMagic is the first byte of every binary-encoded record.
+const recordMagic byte = 0xA6
 
 // recordVersion is the record layout version.
 const recordVersion byte = 1
@@ -31,22 +29,22 @@ const recordVersion byte = 1
 // [magic][version][key][value][timestamp] with the codec's field
 // primitives.
 func AppendRecord(dst []byte, r Record) []byte {
-	dst = append(dst, RecordMagic, recordVersion)
+	dst = append(dst, recordMagic, recordVersion)
 	dst = appendString(dst, r.Key)
 	dst = appendBytes(dst, r.Value)
 	return appendTS(dst, r.TS)
 }
 
-// ErrNotRecord reports that the buffer does not start with a binary
-// record; callers holding possibly-legacy data fall back to gob on it.
-var ErrNotRecord = errors.New("wire: not a binary record")
+// errNotRecord reports that a buffer does not start with a binary record
+// (or a snapshot with its header).
+var errNotRecord = errors.New("wire: not a binary record")
 
 // DecodeRecord parses one binary-encoded record. The returned record never
-// aliases data. A buffer that does not begin with RecordMagic fails with
-// ErrNotRecord.
+// aliases data. A buffer that does not begin with recordMagic fails with
+// errNotRecord.
 func DecodeRecord(data []byte) (Record, error) {
-	if len(data) < 2 || data[0] != RecordMagic {
-		return Record{}, ErrNotRecord
+	if len(data) < 2 || data[0] != recordMagic {
+		return Record{}, errNotRecord
 	}
 	if data[1] != recordVersion {
 		return Record{}, fmt.Errorf("wire: record version %d, want %d", data[1], recordVersion)
@@ -62,25 +60,23 @@ func DecodeRecord(data []byte) (Record, error) {
 	return rec, nil
 }
 
-// Snapshot framing: a snapshot file is [SnapshotMagic][version] followed by
+// Snapshot framing: a snapshot file is [snapshotMagic][version] followed by
 // length-prefixed records ([4-byte big-endian length][record]) until EOF.
-// Like RecordMagic, SnapshotMagic can never start a gob stream, so Restore
-// distinguishes the formats from the first byte.
 
-// SnapshotMagic is the first byte of a binary snapshot file.
-const SnapshotMagic byte = 0xA7
+// snapshotMagic is the first byte of a binary snapshot file.
+const snapshotMagic byte = 0xA7
 
 // snapshotVersion is the snapshot framing version.
 const snapshotVersion byte = 1
 
 // SnapshotHeader returns the two-byte header that opens a binary snapshot.
-func SnapshotHeader() []byte { return []byte{SnapshotMagic, snapshotVersion} }
+func SnapshotHeader() []byte { return []byte{snapshotMagic, snapshotVersion} }
 
 // CheckSnapshotHeader validates a snapshot header previously read from a
 // file.
 func CheckSnapshotHeader(hdr []byte) error {
-	if len(hdr) < 2 || hdr[0] != SnapshotMagic {
-		return ErrNotRecord
+	if len(hdr) < 2 || hdr[0] != snapshotMagic {
+		return errNotRecord
 	}
 	if hdr[1] != snapshotVersion {
 		return fmt.Errorf("wire: snapshot version %d, want %d", hdr[1], snapshotVersion)
@@ -100,4 +96,41 @@ func AppendFramedRecord(dst []byte, r Record) []byte {
 	dst = AppendRecord(dst, r)
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
+}
+
+// ReadFramedRecords reads the frames AppendFramedRecord writes from r and
+// passes each decoded record to apply, returning how many it applied. It
+// returns a nil error at EOF on a record boundary. Anything else — a short
+// header, a zero or oversized length, a short body or a body that is not a
+// record — stops the read with an error, after every record before it was
+// applied. Callers choose the policy: a WAL treats the error as a torn
+// tail, a snapshot as corruption.
+func ReadFramedRecords(r io.Reader, apply func(Record)) (int, error) {
+	br := bufio.NewReader(r)
+	var hdr [4]byte
+	var buf []byte
+	for applied := 0; ; applied++ {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			if errors.Is(err, io.EOF) {
+				return applied, nil
+			}
+			return applied, fmt.Errorf("wire: record header: %w", err)
+		}
+		n := binary.BigEndian.Uint32(hdr[:])
+		if n == 0 || n > MaxRecord {
+			return applied, fmt.Errorf("wire: implausible record length %d", n)
+		}
+		if cap(buf) < int(n) {
+			buf = make([]byte, n)
+		}
+		buf = buf[:n]
+		if _, err := io.ReadFull(br, buf); err != nil {
+			return applied, fmt.Errorf("wire: record body: %w", err)
+		}
+		rec, err := DecodeRecord(buf)
+		if err != nil {
+			return applied, err
+		}
+		apply(rec)
+	}
 }

@@ -30,13 +30,13 @@ func TestRecordRoundTrip(t *testing.T) {
 
 func TestDecodeRecordRejects(t *testing.T) {
 	enc := AppendRecord(nil, Record{Key: "k", Value: []byte("v")})
-	if _, err := DecodeRecord([]byte{0x01, 0x02}); err != ErrNotRecord {
-		t.Errorf("no magic: err = %v, want ErrNotRecord", err)
+	if _, err := DecodeRecord([]byte{0x01, 0x02}); err != errNotRecord {
+		t.Errorf("no magic: err = %v, want errNotRecord", err)
 	}
-	if _, err := DecodeRecord(nil); err != ErrNotRecord {
-		t.Errorf("empty: err = %v, want ErrNotRecord", err)
+	if _, err := DecodeRecord(nil); err != errNotRecord {
+		t.Errorf("empty: err = %v, want errNotRecord", err)
 	}
-	if _, err := DecodeRecord([]byte{RecordMagic, recordVersion + 1}); err == nil {
+	if _, err := DecodeRecord([]byte{recordMagic, recordVersion + 1}); err == nil {
 		t.Error("future version accepted")
 	}
 	if _, err := DecodeRecord(enc[:len(enc)-1]); err == nil {
@@ -47,29 +47,17 @@ func TestDecodeRecordRejects(t *testing.T) {
 	}
 }
 
-// TestMagicBytesCannotStartGob pins the load-bearing fact behind the
-// one-byte format sniff: a gob stream's first byte is a single-byte segment
-// length (≤ 0x7F) or a multi-byte length marker (≥ 0xF8), so the magics in
-// between are unambiguous.
-func TestMagicBytesCannotStartGob(t *testing.T) {
-	for _, magic := range []byte{RecordMagic, SnapshotMagic} {
-		if magic <= 0x7F || magic >= 0xF8 {
-			t.Errorf("magic 0x%02X is inside gob's first-byte range", magic)
-		}
-	}
-}
-
 func TestSnapshotHeader(t *testing.T) {
 	if err := CheckSnapshotHeader(SnapshotHeader()); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckSnapshotHeader([]byte{SnapshotMagic}); err == nil {
+	if err := CheckSnapshotHeader([]byte{snapshotMagic}); err == nil {
 		t.Error("short header accepted")
 	}
-	if err := CheckSnapshotHeader([]byte{0x00, snapshotVersion}); err != ErrNotRecord {
-		t.Errorf("wrong magic: err = %v, want ErrNotRecord", err)
+	if err := CheckSnapshotHeader([]byte{0x00, snapshotVersion}); err != errNotRecord {
+		t.Errorf("wrong magic: err = %v, want errNotRecord", err)
 	}
-	if err := CheckSnapshotHeader([]byte{SnapshotMagic, snapshotVersion + 1}); err == nil {
+	if err := CheckSnapshotHeader([]byte{snapshotMagic, snapshotVersion + 1}); err == nil {
 		t.Error("future snapshot version accepted")
 	}
 }
