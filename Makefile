@@ -34,15 +34,15 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Capture the per-PR perf snapshot (read/write latency + throughput of the
-# live-cluster benchmarks) as JSON. Bump SNAPSHOT per PR: BENCH_010.json …
-SNAPSHOT ?= BENCH_009.json
+# live-cluster benchmarks) as JSON. Bump SNAPSHOT per PR: BENCH_011.json …
+SNAPSHOT ?= BENCH_010.json
 bench-snapshot:
 	$(GO) test -run '^$$' -bench 'BenchmarkCluster|BenchmarkTxn' -benchmem . \
 		| $(GO) run ./cmd/benchsnap -o $(SNAPSHOT)
 
 # Compare a fresh snapshot against the committed baseline; WARN (never fail)
 # on throughput regressions beyond 25%.
-BASELINE ?= BENCH_009.json
+BASELINE ?= BENCH_010.json
 bench-diff:
 	$(GO) test -run '^$$' -bench 'BenchmarkCluster|BenchmarkTxn' -benchmem . \
 		| $(GO) run ./cmd/benchsnap -o /tmp/bench_current.json

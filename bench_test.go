@@ -187,20 +187,20 @@ func BenchmarkExactAvailability(b *testing.B) {
 }
 
 // benchCluster spins up a cluster+client pair for operational benchmarks.
-func benchCluster(b *testing.B, spec string) (*arbor.Cluster, *arbor.Client) {
-	b.Helper()
+func benchCluster(tb testing.TB, spec string) (*arbor.Cluster, *arbor.Client) {
+	tb.Helper()
 	t, err := arbor.ParseTree(spec)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	c, err := arbor.NewCluster(t, arbor.WithSeed(1))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(c.Close)
+	tb.Cleanup(c.Close)
 	cli, err := c.NewClient()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return c, cli
 }

@@ -149,7 +149,7 @@ func TestRefusingSiteSinksInOrdering(t *testing.T) {
 	}
 	// A successful record clears the refusal mark.
 	h.cli.scores.record(addr, time.Millisecond, false)
-	if h.cli.scores.isRefusing(addr) {
+	if h.cli.scores.score(addr).refusing {
 		t.Error("refusal mark survived a successful serve")
 	}
 }

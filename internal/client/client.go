@@ -293,6 +293,9 @@ type Client struct {
 	flightMu sync.Mutex
 	flights  map[string]*flight
 
+	// collectors pools the per-operation collectors and their buffers.
+	collectors sync.Pool
+
 	// obs is the optional observability hook; instr and traces are its
 	// pre-resolved halves (nil when no observer is attached).
 	obs    *obs.Observer
@@ -446,31 +449,4 @@ func (c *Client) backoff(ctx context.Context, attempt int, kind string, floor ti
 // has learned; nil when the breaker is disabled.
 func (c *Client) BreakerStates() map[transport.Addr]rpc.BreakerState {
 	return c.caller.BreakerStates()
-}
-
-// shuffledSites returns the level's sites in random order.
-func (c *Client) shuffledSites(proto *core.Protocol, u int) []transport.Addr {
-	sites := proto.LevelSites(u)
-	out := make([]transport.Addr, len(sites))
-	for i, s := range sites {
-		out[i] = transport.Addr(s)
-	}
-	c.rngMu.Lock()
-	c.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	c.rngMu.Unlock()
-	return out
-}
-
-// shuffledLevelOrder returns all physical level indices starting from a
-// uniformly random one (the paper's w_write strategy with failover).
-func (c *Client) shuffledLevelOrder(proto *core.Protocol) []int {
-	l := proto.NumPhysicalLevels()
-	c.rngMu.Lock()
-	start := c.rng.Intn(l)
-	c.rngMu.Unlock()
-	out := make([]int, 0, l)
-	for i := 0; i < l; i++ {
-		out = append(out, (start+i)%l)
-	}
-	return out
 }

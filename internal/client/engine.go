@@ -24,6 +24,7 @@ import (
 	"arbor/internal/obs"
 	"arbor/internal/rpc"
 	"arbor/internal/transport"
+	"arbor/internal/tree"
 )
 
 // Engine tuning constants.
@@ -45,31 +46,32 @@ const (
 	latDeadFactor = 16
 )
 
-// siteScore is one site's learned health: latency and failure EWMAs.
+// siteScore is one site's learned health: latency and failure EWMAs, and
+// whether its last probe was refused.
 type siteScore struct {
 	lat     float64 // round-trip EWMA, nanoseconds
 	fail    float64 // failure-rate EWMA in [0,1]
 	samples uint64
+	// refusing marks a site that answered a probe with a catching-up
+	// refusal: alive but not serving reads. Cleared on the next successful
+	// serve. Kept out of the latency/failure EWMAs — a refusal is neither
+	// slow nor dead, and folding it in would poison the site's scores for
+	// long after it rejoins.
+	refusing bool
 }
+
+// known reports whether any call to the site was ever recorded.
+func (e siteScore) known() bool { return e.samples > 0 }
 
 // scoreboard tracks per-site scores for one client. Safe for concurrent
 // use.
 type scoreboard struct {
 	mu sync.Mutex
 	m  map[transport.Addr]siteScore
-	// refusing marks sites that answered a probe with a catching-up
-	// refusal: alive but not serving reads. Cleared on the next successful
-	// serve. Kept out of the latency/failure EWMAs — a refusal is neither
-	// slow nor dead, and folding it in would poison the site's scores for
-	// long after it rejoins.
-	refusing map[transport.Addr]bool
 }
 
 func newScoreboard() *scoreboard {
-	return &scoreboard{
-		m:        make(map[transport.Addr]siteScore),
-		refusing: make(map[transport.Addr]bool),
-	}
+	return &scoreboard{m: make(map[transport.Addr]siteScore)}
 }
 
 // record folds one observed call into the site's EWMAs. Timeouts count as
@@ -91,75 +93,31 @@ func (s *scoreboard) record(addr transport.Addr, d time.Duration, failed bool) {
 		e.fail = scoreAlpha*f + (1-scoreAlpha)*e.fail
 	}
 	e.samples++
-	s.m[addr] = e
 	if !failed {
-		delete(s.refusing, addr)
+		e.refusing = false
 	}
+	s.m[addr] = e
 	s.mu.Unlock()
 }
 
 // markRefusing records a catching-up refusal from the site.
 func (s *scoreboard) markRefusing(addr transport.Addr) {
 	s.mu.Lock()
-	s.refusing[addr] = true
+	e := s.m[addr]
+	e.refusing = true
+	s.m[addr] = e
 	s.mu.Unlock()
 }
 
-// isRefusing reports whether the site's last probe was refused.
-func (s *scoreboard) isRefusing(addr transport.Addr) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.refusing[addr]
-}
-
-// get returns the site's score and whether anything was ever recorded.
-func (s *scoreboard) get(addr transport.Addr) (siteScore, bool) {
-	s.mu.Lock()
-	e, ok := s.m[addr]
-	s.mu.Unlock()
-	return e, ok && e.samples > 0
-}
-
-// siteHealth is one site's scoreboard state as seen by an ordering pass.
-type siteHealth struct {
-	lat      float64
-	fail     float64
-	known    bool
-	refusing bool
-}
-
-// fill snapshots every site's health into out (len(out) == len(sites))
+// fill snapshots every site's score into out (len(out) == len(sites))
 // under a single lock acquisition — the ordering passes run on every
 // operation, so they must not take the scoreboard lock per site.
-func (s *scoreboard) fill(sites []transport.Addr, out []siteHealth) {
+func (s *scoreboard) fill(sites []transport.Addr, out []siteScore) {
 	s.mu.Lock()
 	for i, a := range sites {
-		e, ok := s.m[a]
-		out[i] = siteHealth{
-			lat:      e.lat,
-			fail:     e.fail,
-			known:    ok && e.samples > 0,
-			refusing: s.refusing[a],
-		}
+		out[i] = s.m[a]
 	}
 	s.mu.Unlock()
-}
-
-// bestLatency returns the lowest latency EWMA among the given sites.
-func (s *scoreboard) bestLatency(sites []transport.Addr) (time.Duration, bool) {
-	best := math.MaxFloat64
-	known := false
-	s.mu.Lock()
-	for _, a := range sites {
-		if e, ok := s.m[a]; ok && e.samples > 0 && e.lat < best {
-			best, known = e.lat, true
-		}
-	}
-	s.mu.Unlock()
-	if !known {
-		return 0, false
-	}
-	return time.Duration(best), true
 }
 
 // failBucket coarsens a failure EWMA into three classes so that sampling
@@ -198,88 +156,145 @@ func latBucket(lat, best, material float64) int {
 // is still cheap — a fast-fail or instant refusal, never a timeout).
 const skipBucket = 99
 
-// orderedSites returns level u's sites in probe order: the paper's uniform
-// shuffle stable-sorted by coarse health buckets (failure class first,
-// then latency class relative to the level's best). Healthy sites of the
-// same speed class stay uniformly ordered — preserving the optimal read
-// load of the uniform strategy — while known-slow or failing sites are
-// tried last, and open-breaker or catching-up sites last of all. One in
-// exploreEvery calls promotes a random candidate to the front so scores
-// cannot go permanently stale.
-func (c *Client) orderedSites(proto *core.Protocol, u int) []transport.Addr {
-	out := c.shuffledSites(proto, u)
-	if len(out) < 2 {
-		return out
+// orderScratch is an ordering pass's working memory, kept with a pooled
+// collector so ordering allocates nothing per operation.
+type orderScratch struct {
+	scores  []siteScore
+	open    []bool
+	buckets []int8
+	sites   []transport.Addr // one level's sites, for orderLevels
+	ranks   []int8           // each write-order position's bucket
+}
+
+// grow sizes the per-site scratch for n sites.
+func (s *orderScratch) grow(n int) (scores []siteScore, open []bool, buckets []int8) {
+	if cap(s.scores) < n {
+		s.scores = make([]siteScore, n)
+		s.open = make([]bool, n)
+		s.buckets = make([]int8, n)
 	}
-	health := make([]siteHealth, len(out))
-	c.scores.fill(out, health)
-	var best float64 = math.MaxFloat64
-	for i := range health {
-		if health[i].known && health[i].lat < best {
-			best = health[i].lat
+	return s.scores[:n], s.open[:n], s.buckets[:n]
+}
+
+// orderSites writes level u's sites into out (len(out) == the level's
+// size) in probe order: the paper's uniform shuffle stable-sorted by
+// coarse health buckets (failure class first, then latency class relative
+// to the level's best). Healthy sites of the same speed class stay
+// uniformly ordered — preserving the optimal read load of the uniform
+// strategy — while known-slow or failing sites are tried last, and
+// open-breaker or catching-up sites last of all. One in exploreEvery calls
+// promotes a random candidate to the front so scores cannot go permanently
+// stale. It returns the level's best learned round-trip (known is false
+// while no site of the level has been scored, and for one-site levels,
+// which never hedge).
+func (c *Client) orderSites(proto *core.Protocol, u int, out []transport.Addr, s *orderScratch) (best time.Duration, known bool) {
+	levelAddrs(out[:0], proto.LevelSites(u))
+	n := len(out)
+	c.rngMu.Lock()
+	c.rng.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
+	explore, idx := false, 0
+	if n >= 2 {
+		explore = c.rng.Intn(exploreEvery) == 0
+		if explore {
+			idx = c.rng.Intn(n)
+		}
+	}
+	c.rngMu.Unlock()
+	if n < 2 {
+		return 0, false
+	}
+	scores, open, buckets := c.health(out, s)
+	lat := math.MaxFloat64
+	for _, e := range scores {
+		if e.known() && e.lat < lat {
+			lat, known = e.lat, true
 		}
 	}
 	material := float64(c.hedgeDelay)
-	buckets := make([]int8, len(out))
-	for i, a := range out {
-		h := health[i]
+	for i, e := range scores {
 		switch {
-		case h.refusing || c.caller.BreakerState(a) == rpc.BreakerOpen:
+		case e.refusing || open[i]:
 			buckets[i] = skipBucket
-		case !h.known:
+		case !e.known():
 			buckets[i] = 0 // cold site: treat as healthy until probed
 		default:
-			buckets[i] = int8(failBucket(h.fail)*3 + latBucket(h.lat, best, material))
+			buckets[i] = int8(failBucket(e.fail)*3 + latBucket(e.lat, lat, material))
 		}
 	}
 	stableSortByBucket(out, buckets)
-	c.rngMu.Lock()
-	explore := c.rng.Intn(exploreEvery) == 0
-	idx := 0
-	if explore {
-		idx = c.rng.Intn(len(out))
-	}
-	c.rngMu.Unlock()
 	if explore && idx > 0 {
 		picked := out[idx]
 		copy(out[1:idx+1], out[:idx])
 		out[0] = picked
 	}
-	return out
+	if !known {
+		return 0, false
+	}
+	return time.Duration(lat), true
 }
 
-// orderedLevels returns physical level indices in write-attempt order: the
-// paper's uniform rotation stable-sorted by each level's worst member
-// failure bucket, so a level whose 2PC would stall on a known-failing
-// member is tried last. Healthy levels keep the uniform rotation,
-// preserving the optimal write load. (A level is as available as its least
-// available member — the write quorum needs all of them — so the bucket is
-// the max over members. Latency is deliberately ignored: a uniformly far
-// level is still a correct and load-bearing write quorum.)
-func (c *Client) orderedLevels(proto *core.Protocol) []int {
-	order := c.shuffledLevelOrder(proto)
-	if len(order) < 2 {
-		return order
+// orderLevels writes the physical level indices into order (len(order) ==
+// the number of levels) in write-attempt order: the paper's uniform
+// rotation stable-sorted by each level's worst member failure bucket, so a
+// level whose 2PC would stall on a known-failing member is tried last.
+// Healthy levels keep the uniform rotation, preserving the optimal write
+// load. (A level is as available as its least available member — the
+// write quorum needs all of them — so the bucket is the max over members.
+// Latency is deliberately ignored: a uniformly far level is still a
+// correct and load-bearing write quorum.)
+func (c *Client) orderLevels(proto *core.Protocol, order []int, s *orderScratch) {
+	l := len(order)
+	c.rngMu.Lock()
+	start := c.rng.Intn(l)
+	c.rngMu.Unlock()
+	for i := range order {
+		order[i] = (start + i) % l
 	}
-	buckets := make([]int8, len(order))
-	for i, u := range order {
+	if l < 2 {
+		return
+	}
+	if cap(s.ranks) < l {
+		s.ranks = make([]int8, l)
+	}
+	ranks := s.ranks[:l]
+	for u := 0; u < l; u++ {
+		s.sites = levelAddrs(s.sites, proto.LevelSites(u))
+		scores, open, _ := c.health(s.sites, s)
 		worst := 0.0
-		for _, s := range proto.LevelSites(u) {
-			a := transport.Addr(s)
-			if c.caller.BreakerState(a) == rpc.BreakerOpen {
+		for i, e := range scores {
+			if open[i] {
 				// An open breaker means the member just failed repeatedly;
 				// a 2PC through this level would stall on it.
 				worst = 1.0
 				break
 			}
-			if e, ok := c.scores.get(a); ok && e.fail > worst {
+			if e.known() && e.fail > worst {
 				worst = e.fail
 			}
 		}
-		buckets[i] = int8(failBucket(worst))
+		ranks[(u-start+l)%l] = int8(failBucket(worst)) // level u's position in the rotation
 	}
-	stableSortByBucket(order, buckets)
-	return order
+	stableSortByBucket(order, ranks)
+}
+
+// health snapshots the sites' scores under one scoreboard lock and their
+// breakers under one breaker lock, into s's scratch; buckets is scratch of
+// the same length.
+func (c *Client) health(sites []transport.Addr, s *orderScratch) (scores []siteScore, open []bool, buckets []int8) {
+	scores, open, buckets = s.grow(len(sites))
+	c.scores.fill(sites, scores)
+	c.caller.OpenBreakers(sites, open)
+	return scores, open, buckets
+}
+
+// levelAddrs copies a level's sites into buf, reusing its storage when
+// it is large enough.
+func levelAddrs(buf []transport.Addr, level []tree.SiteID) []transport.Addr {
+	buf = buf[:0]
+	for _, site := range level {
+		buf = append(buf, transport.Addr(site))
+	}
+	return buf
 }
 
 // stableSortByBucket stable-sorts items by ascending bucket, moving the two
@@ -298,13 +313,13 @@ func stableSortByBucket[T any](items []T, buckets []int8) {
 	}
 }
 
-// levelHedgeDelay decides whether and when this level may hedge: the
-// configured delay, floored at twice the level's best learned round-trip
-// (a uniformly slow level — e.g. a far zone — must not hedge on every
-// probe) and gated off entirely while the level is cold or when the floor
-// reaches the client timeout (the sequential fallback fires then anyway).
-func (c *Client) levelHedgeDelay(sites []transport.Addr, cfg readConfig) (time.Duration, bool) {
-	best, known := c.scores.bestLatency(sites)
+// levelHedgeDelay decides whether and when a level whose best learned
+// round-trip is best (known false while the level is cold) may hedge: the
+// configured delay, floored at twice best (a uniformly slow level — e.g. a
+// far zone — must not hedge on every probe) and gated off entirely while
+// the level is cold or when the floor reaches the client timeout (the
+// sequential fallback fires then anyway).
+func (c *Client) levelHedgeDelay(best time.Duration, known bool, cfg readConfig) (time.Duration, bool) {
 	if !known {
 		return 0, false
 	}
@@ -334,21 +349,50 @@ type sent struct {
 // collector runs an operation's quorum phases — read, version discovery,
 // prepare, commit, abort — on the operation's own goroutine. Requests go
 // out through rpc.Caller.Go; their outcomes (replies, timeouts, breaker
-// fast-fails, cancellations) come back as events on one channel, and hedge
-// deadlines tick on one timer, so no phase starts a goroutine per level or
-// per contact.
+// fast-fails, cancellations) come back as events on one channel, and the
+// reply deadlines and hedge deadlines all tick on one timer, so no phase
+// starts a goroutine or a timer per level or per contact. Collectors are pooled
+// per client with their buffers, so a warm operation allocates none.
 type collector struct {
 	c        *Client
 	ctx      context.Context
 	done     chan *rpc.Call
 	sent     []sent
 	inflight int
+	due      int // sent[:due] have had their reply deadlines enforced
 	timer    *time.Timer
 	armed    time.Time // the deadline the timer is set for; zero when idle
+
+	// Per-operation buffers, reused across operations: a read's levels
+	// and their candidate sites (one backing array), a write's level order,
+	// and the ordering passes' scratch.
+	levels  []levelRead
+	sites   []transport.Addr
+	order   []int
+	scratch orderScratch
 }
 
+// newCollector takes a collector from the client's pool; release returns
+// it.
 func (c *Client) newCollector(ctx context.Context) *collector {
-	return &collector{c: c, ctx: ctx}
+	col, _ := c.collectors.Get().(*collector)
+	if col == nil {
+		col = &collector{c: c}
+	}
+	col.ctx = ctx
+	return col
+}
+
+// release returns the collector to its client's pool. Every call it sent
+// has been collected by then, so nothing can still deliver to its channel;
+// the references its buffers hold are dropped so a pooled collector pins
+// no reply.
+func (col *collector) release() {
+	clear(col.sent[:cap(col.sent)])
+	col.sent = col.sent[:0]
+	clear(col.levels[:cap(col.levels)])
+	col.ctx = nil
+	col.c.collectors.Put(col)
 }
 
 // begin starts a phase that has at most width calls in flight at once. The
@@ -356,6 +400,7 @@ func (c *Client) newCollector(ctx context.Context) *collector {
 // delivering one.
 func (col *collector) begin(width int) {
 	col.sent = col.sent[:0]
+	col.due = 0
 	if cap(col.done) < width {
 		col.done = make(chan *rpc.Call, width)
 	}
@@ -374,19 +419,25 @@ func (col *collector) send(group int, to transport.Addr, req rpc.Request, span *
 }
 
 // run collects outcomes until no call is in flight, accounting each (see
-// settle) before handing it to onReply, which may send more. nextHedge,
-// when non-nil, reports the phase's earliest pending hedge; hedge is called
-// when it is due. When the operation's context ends, every call still in
-// flight is cancelled with the context's error, so each outcome is still
-// collected and accounted.
+// settle) before handing it to onReply, which may send more. The one timer
+// is set to the earliest of the next reply deadline and, when nextHedge is
+// non-nil, the phase's earliest pending hedge; when it fires, every call
+// past its deadline is expired (its timeout arrives as an outcome) and
+// hedge, when non-nil, launches whatever hedges are due. When the
+// operation's context ends, every call still in flight is cancelled with
+// the context's error, so each outcome is still collected and accounted.
 func (col *collector) run(onReply func(s sent, resp any, err error, contact bool), nextHedge func() (time.Time, bool), hedge func()) {
 	ctxDone := col.ctx.Done()
 	for col.inflight > 0 {
-		var tick <-chan time.Time
+		at, ok := col.nextDeadline()
 		if nextHedge != nil {
-			if at, ok := nextHedge(); ok {
-				tick = col.arm(at)
+			if h, hok := nextHedge(); hok && (!ok || h.Before(at)) {
+				at, ok = h, true
 			}
+		}
+		var tick <-chan time.Time
+		if ok {
+			tick = col.arm(at)
 		}
 		select {
 		case call := <-col.done:
@@ -397,33 +448,76 @@ func (col *collector) run(onReply func(s sent, resp any, err error, contact bool
 			onReply(*s, call.Resp, err, contact)
 		case <-tick:
 			col.armed = time.Time{}
-			hedge()
+			col.expire(time.Now())
+			if hedge != nil {
+				hedge()
+			}
 		case <-ctxDone:
 			ctxDone = nil
 			col.cancel(-1, col.ctx.Err())
 		}
 	}
 	if !col.armed.IsZero() {
-		col.timer.Stop()
-		col.armed = time.Time{}
+		col.stopTimer()
 	}
 }
 
-// arm points the collector's timer at the deadline at.
-func (col *collector) arm(at time.Time) <-chan time.Time {
-	if col.timer == nil {
-		col.timer = time.NewTimer(time.Until(at))
-	} else if !at.Equal(col.armed) {
-		if !col.timer.Stop() {
-			select {
-			case <-col.timer.C:
-			default:
-			}
+// nextDeadline returns the earliest reply deadline not yet enforced among
+// the calls in flight. Deadlines never decrease in send order, so it is the
+// first such call's.
+func (col *collector) nextDeadline() (time.Time, bool) {
+	for ; col.due < len(col.sent); col.due++ {
+		if s := &col.sent[col.due]; s.open && !s.call.Deadline.IsZero() {
+			return s.call.Deadline, true
 		}
+	}
+	return time.Time{}, false
+}
+
+// expire times out every call in flight whose reply deadline is at or
+// before now; each timeout arrives on the collector's channel.
+func (col *collector) expire(now time.Time) {
+	for ; col.due < len(col.sent); col.due++ {
+		s := &col.sent[col.due]
+		if !s.open || s.call.Deadline.IsZero() {
+			continue
+		}
+		if now.Before(s.call.Deadline) {
+			return
+		}
+		col.c.caller.Expire(s.call)
+	}
+}
+
+// arm makes the collector's timer fire no later than at. A timer already
+// set to fire earlier is left alone: the early tick finds nothing due, and
+// the loop re-arms. So a phase whose calls all answer in time sets the
+// timer once, however many replies move its earliest deadline later.
+func (col *collector) arm(at time.Time) <-chan time.Time {
+	switch {
+	case col.timer == nil:
+		col.timer = time.NewTimer(time.Until(at))
+	case col.armed.IsZero():
 		col.timer.Reset(time.Until(at))
+	case at.Before(col.armed):
+		col.stopTimer()
+		col.timer.Reset(time.Until(at))
+	default:
+		return col.timer.C
 	}
 	col.armed = at
 	return col.timer.C
+}
+
+// stopTimer stops the armed timer, draining a tick it already sent.
+func (col *collector) stopTimer() {
+	if !col.timer.Stop() {
+		select {
+		case <-col.timer.C:
+		default:
+		}
+	}
+	col.armed = time.Time{}
 }
 
 // cancel abandons the calls of group still in flight (every call when

@@ -65,6 +65,27 @@ func (h *memHarness) replicaFor(t *testing.T, addr transport.Addr) *replica.Repl
 	return nil
 }
 
+// orderedSites returns level u's probe order in a fresh slice.
+func (c *Client) orderedSites(proto *core.Protocol, u int) []transport.Addr {
+	out := make([]transport.Addr, len(proto.LevelSites(u)))
+	c.orderSites(proto, u, out, new(orderScratch))
+	return out
+}
+
+// orderedLevels returns the engine's write-level order in a fresh slice.
+func (c *Client) orderedLevels(proto *core.Protocol) []int {
+	order := make([]int, proto.NumPhysicalLevels())
+	c.orderLevels(proto, order, new(orderScratch))
+	return order
+}
+
+// score returns the scoreboard's entry for one site.
+func (s *scoreboard) score(addr transport.Addr) siteScore {
+	var out [1]siteScore
+	s.fill([]transport.Addr{addr}, out[:])
+	return out[0]
+}
+
 // TestOrderedSitesDeterministicUnderSeed: two clients with the same seed
 // (on independent networks) must produce identical probe orders call after
 // call — the property that makes WithSeed runs reproducible even with the
@@ -153,12 +174,18 @@ func TestLevelHedgeDelayGating(t *testing.T) {
 	sites := h.proto.LevelSites(0)
 	addrs := []transport.Addr{transport.Addr(sites[0]), transport.Addr(sites[1])}
 	cfg := readConfig{hedge: true, hedgeDelay: 5 * time.Millisecond}
+	// hedgeDelay is the level's gate as a read decides it: from the best
+	// round-trip its ordering pass saw.
+	hedgeDelay := func(c *Client) (time.Duration, bool) {
+		best, known := c.orderSites(c.Protocol(), 0, make([]transport.Addr, len(addrs)), new(orderScratch))
+		return c.levelHedgeDelay(best, known, cfg)
+	}
 
-	if _, ok := h.cli.levelHedgeDelay(addrs, cfg); ok {
+	if _, ok := hedgeDelay(h.cli); ok {
 		t.Error("cold level must not hedge")
 	}
 	h.cli.scores.record(addrs[0], time.Millisecond, false)
-	if d, ok := h.cli.levelHedgeDelay(addrs, cfg); !ok || d != 5*time.Millisecond {
+	if d, ok := hedgeDelay(h.cli); !ok || d != 5*time.Millisecond {
 		t.Errorf("warm level: delay = %v, %v; want 5ms, true", d, ok)
 	}
 	// A best round-trip of 10ms floors the 5ms configured delay to 20ms.
@@ -166,7 +193,7 @@ func TestLevelHedgeDelayGating(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		h2.cli.scores.record(addrs[0], 10*time.Millisecond, false)
 	}
-	if d, ok := h2.cli.levelHedgeDelay(addrs, cfg); !ok || d != 20*time.Millisecond {
+	if d, ok := hedgeDelay(h2.cli); !ok || d != 20*time.Millisecond {
 		t.Errorf("floored delay = %v, %v; want 20ms, true", d, ok)
 	}
 	// A uniformly slow level (floor >= timeout) must not hedge at all.
@@ -174,7 +201,7 @@ func TestLevelHedgeDelayGating(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		h3.cli.scores.record(addrs[0], 60*time.Millisecond, false)
 	}
-	if _, ok := h3.cli.levelHedgeDelay(addrs, cfg); ok {
+	if _, ok := hedgeDelay(h3.cli); ok {
 		t.Error("level with 2×best >= timeout must not hedge")
 	}
 }
@@ -372,8 +399,8 @@ func TestScoreboardEWMA(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.record(a, 20*time.Millisecond, false)
 	}
-	e, ok := s.get(a)
-	if !ok {
+	e := s.score(a)
+	if !e.known() {
 		t.Fatal("no score recorded")
 	}
 	if e.lat <= float64(10*time.Millisecond) || e.lat >= float64(20*time.Millisecond) {
@@ -382,13 +409,13 @@ func TestScoreboardEWMA(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.record(a, 10*time.Millisecond, true)
 	}
-	if e, _ = s.get(a); failBucket(e.fail) == 0 {
+	if e = s.score(a); failBucket(e.fail) == 0 {
 		t.Errorf("failure EWMA %v still in the healthy bucket after 4 failures", e.fail)
 	}
 	for i := 0; i < 12; i++ {
 		s.record(a, 10*time.Millisecond, false)
 	}
-	if e, _ = s.get(a); failBucket(e.fail) != 0 {
+	if e = s.score(a); failBucket(e.fail) != 0 {
 		t.Errorf("failure EWMA %v did not decay after recovery", e.fail)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"arbor/internal/core"
 	"arbor/internal/obs"
 	"arbor/internal/replica"
 	"arbor/internal/rpc"
@@ -57,7 +58,9 @@ func (c *Client) readDirect(ctx context.Context, key string, cfg readConfig) (Re
 	if c.instr != nil {
 		start = time.Now()
 	}
-	res, err := c.newCollector(ctx).readQuorum(key, false, op, cfg)
+	col := c.newCollector(ctx)
+	defer col.release()
+	res, err := col.readQuorum(key, false, op, cfg)
 	if err != nil {
 		c.metrics.readFailures.Add(1)
 		if c.instr != nil {
@@ -107,7 +110,9 @@ func readOutcome(err error) string {
 func (c *Client) ReadVersion(ctx context.Context, key string) (ReadResult, error) {
 	ctx, cancel := c.opCtx(ctx)
 	defer cancel()
-	return c.newCollector(ctx).readQuorum(key, true, nil, c.readDefaults())
+	col := c.newCollector(ctx)
+	defer col.release()
+	return col.readQuorum(key, true, nil, c.readDefaults())
 }
 
 // levelRead is one physical level's part of a read or version quorum.
@@ -138,6 +143,31 @@ type levelRead struct {
 	start          time.Time
 	primaryReplied bool
 	span           *obs.LevelSpan
+}
+
+// readLevels returns one cleared levelRead per physical level, in the
+// collector's buffer, each with its sites slice sized to the level and
+// backed by the collector's site buffer.
+func (col *collector) readLevels(proto *core.Protocol) []levelRead {
+	n, total := proto.NumPhysicalLevels(), 0
+	for u := 0; u < n; u++ {
+		total += len(proto.LevelSites(u))
+	}
+	if cap(col.levels) < n {
+		col.levels = make([]levelRead, n)
+	}
+	if cap(col.sites) < total {
+		col.sites = make([]transport.Addr, total)
+	}
+	levels := col.levels[:n]
+	clear(levels)
+	off := 0
+	for u := range levels {
+		end := off + len(proto.LevelSites(u))
+		levels[u].sites = col.sites[off:end:end]
+		off = end
+	}
+	return levels
 }
 
 // hedging reports whether the level may still launch a hedge.
@@ -181,14 +211,14 @@ func (c *Client) decodeProbe(addr transport.Addr, resp any) (ts replica.Timestam
 func (col *collector) readQuorum(key string, versionOnly bool, op *obs.Op, cfg readConfig) (ReadResult, error) {
 	c := col.c
 	proto := c.Protocol()
-	levels := make([]levelRead, proto.NumPhysicalLevels())
+	levels := col.readLevels(proto)
 	width := 0
 	for u := range levels {
 		lv := &levels[u]
-		lv.sites = c.orderedSites(proto, u)
+		best, known := c.orderSites(proto, u, lv.sites, &col.scratch)
 		width += len(lv.sites)
-		if cfg.hedge && len(lv.sites) > 1 {
-			lv.hedgeAfter, _ = c.levelHedgeDelay(lv.sites, cfg)
+		if cfg.hedge {
+			lv.hedgeAfter, _ = c.levelHedgeDelay(best, known, cfg)
 		}
 	}
 	phase, hedgePhase, spanPhase := "read", "read-hedge", "read-quorum"
@@ -304,10 +334,11 @@ func (col *collector) readQuorum(key string, versionOnly bool, op *obs.Op, cfg r
 	}
 
 	col.begin(width)
+	start := time.Now()
 	for u := range levels {
 		lv := &levels[u]
 		lv.span = op.Level(u, spanPhase)
-		lv.start = time.Now()
+		lv.start = start
 		lv.hedgeAt = lv.start.Add(lv.hedgeAfter)
 		if len(lv.sites) == 0 {
 			lv.err = fmt.Errorf("level %d has no replicas", u)

@@ -119,6 +119,6 @@ func (t *Txn) Commit(ctx context.Context) error {
 	}
 	// Per-key versions: cached read versions where available, fresh
 	// version discovery otherwise.
-	_, err := t.c.commit(ctx, "txn", traceKey, t.proto, t.c.orderedLevels(t.proto), t.c.readDefaults(), writes, t.reads)
+	_, err := t.c.commit(ctx, "txn", traceKey, t.proto, -1, t.c.readDefaults(), writes, t.reads)
 	return err
 }

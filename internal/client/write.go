@@ -43,20 +43,10 @@ func (c *Client) Write(ctx context.Context, key string, value []byte, opts ...Wr
 	for _, o := range opts {
 		o.applyWrite(&cfg)
 	}
-	var order []int
-	if cfg.level >= 0 {
-		n := proto.NumPhysicalLevels()
-		if cfg.level >= n {
-			return WriteResult{}, fmt.Errorf("client: level %d outside [0,%d)", cfg.level, n)
-		}
-		order = make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			order = append(order, (cfg.level+i)%n)
-		}
-	} else {
-		order = c.orderedLevels(proto)
+	if n := proto.NumPhysicalLevels(); cfg.level >= n {
+		return WriteResult{}, fmt.Errorf("client: level %d outside [0,%d)", cfg.level, n)
 	}
-	return c.commit(ctx, "write", key, proto, order, cfg.read, []keyWrite{{key: key, value: value}}, nil)
+	return c.commit(ctx, "write", key, proto, cfg.level, cfg.read, []keyWrite{{key: key, value: value}}, nil)
 }
 
 // WriteAt performs a write preferring the given physical level's quorum
@@ -80,17 +70,22 @@ type keyWrite struct {
 }
 
 // commit is the write path of Write (kind "write") and Txn.Commit (kind
-// "txn"). Phase 0 (§3.2.2) obtains the highest version of every key not in
-// bases; this needs a read-shaped quorum, so a write inherits the read
-// operation's availability requirement for its version-discovery step.
-// Then all writes go through one two-phase commit on one physical level,
-// trying levels in order. A commit decision that not every member
-// acknowledged is reported as ErrInDoubt and counts as a write — retrying
-// elsewhere would double-write. When no level can be prepared, a Write
-// fails with ErrWriteUnavailable and a transaction with ErrTxnConflict.
-func (c *Client) commit(ctx context.Context, kind, traceKey string, proto *core.Protocol, order []int, rcfg readConfig, writes []keyWrite, bases map[string]ReadResult) (res WriteResult, err error) {
+// "txn"). Levels are tried in the engine's order (orderLevels), or, when
+// first >= 0, in rotation from level first. Phase 0 (§3.2.2) obtains the
+// highest version of every key not in bases; this needs a read-shaped
+// quorum, so a write inherits the read operation's availability
+// requirement for its version-discovery step. Then all writes go through
+// one two-phase commit on one physical level, trying levels in order. A
+// commit decision that not every member acknowledged is reported as
+// ErrInDoubt and counts as a write — retrying elsewhere would double-write.
+// When no level can be prepared, a Write fails with ErrWriteUnavailable
+// and a transaction with ErrTxnConflict.
+func (c *Client) commit(ctx context.Context, kind, traceKey string, proto *core.Protocol, first int, rcfg readConfig, writes []keyWrite, bases map[string]ReadResult) (res WriteResult, err error) {
 	ctx, cancel := c.opCtx(ctx)
 	defer cancel()
+	col := c.newCollector(ctx)
+	defer col.release()
+	order := col.levelOrder(proto, first)
 	c.budget.earnOp()
 	op := c.traces.Start(kind, traceKey, c.id)
 	var start time.Time
@@ -109,7 +104,6 @@ func (c *Client) commit(ctx context.Context, kind, traceKey string, proto *core.
 		}
 		op.Finish(outcome, err, res.Contacts)
 	}()
-	col := c.newCollector(ctx)
 
 	for i := range writes {
 		w := &writes[i]
@@ -175,6 +169,24 @@ func (c *Client) commit(ctx context.Context, kind, traceKey string, proto *core.
 	}
 	outcome = obs.OutcomeUnavailable
 	return res, fmt.Errorf("%w: %w", ErrWriteUnavailable, lastErr)
+}
+
+// levelOrder returns the levels a write tries, in the collector's buffer:
+// in the engine's order, or in rotation from level first when first >= 0.
+func (col *collector) levelOrder(proto *core.Protocol, first int) []int {
+	n := proto.NumPhysicalLevels()
+	if cap(col.order) < n {
+		col.order = make([]int, n)
+	}
+	order := col.order[:n]
+	if first < 0 {
+		col.c.orderLevels(proto, order, &col.scratch)
+		return order
+	}
+	for i := range order {
+		order[i] = (first + i) % n
+	}
+	return order
 }
 
 // twoPhase runs two-phase commit of every write over every physical node of
@@ -299,7 +311,9 @@ func (c *Client) Ping(ctx context.Context, site transport.Addr) error {
 	}
 	contacts := 0
 	var err error
-	if rerr := c.newCollector(ctx).round(1, func(int) (transport.Addr, rpc.Request) {
+	col := c.newCollector(ctx)
+	defer col.release()
+	if rerr := col.round(1, func(int) (transport.Addr, rpc.Request) {
 		return site, replica.PingReq{}
 	}, nil, "ping", false, func(_ int, resp any, callErr error, contact bool) {
 		if contact {

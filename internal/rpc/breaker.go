@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"arbor/internal/obs"
@@ -83,6 +84,9 @@ type breakerSet struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 	m   map[transport.Addr]*breaker
+	// opened counts the breakers whose open flag is set (changed under
+	// mu), so a snapshot while every breaker is closed takes no lock.
+	opened atomic.Int32
 
 	// Optional instruments, wired by NewCaller when metrics are on.
 	transitions *obs.CounterVec // destination state: open | half_open | closed
@@ -146,6 +150,7 @@ func (s *breakerSet) success(to transport.Addr) {
 	b.fails = 0
 	if b.open {
 		b.open = false
+		s.opened.Add(-1)
 		b.cooldown = 0
 		s.record("closed")
 	}
@@ -169,6 +174,7 @@ func (s *breakerSet) failure(to transport.Addr) {
 	}
 	if b.fails++; b.fails >= s.cfg.Threshold {
 		b.open = true
+		s.opened.Add(1)
 		b.cooldown = s.cfg.Cooldown
 		b.until = time.Now().Add(s.jitter(b.cooldown))
 		s.record("open")
@@ -187,15 +193,21 @@ func (s *breakerSet) release(to transport.Addr) {
 func (s *breakerSet) state(to transport.Addr) BreakerState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, ok := s.m[to]
-	switch {
-	case !ok || !b.open:
-		return BreakerClosed
-	case time.Now().Before(b.until) || b.probing:
-		return BreakerOpen
-	default:
-		return BreakerHalfOpen
+	return s.m[to].state(time.Now())
+}
+
+// open sets open[i] to whether sites[i]'s breaker is open at one instant.
+func (s *breakerSet) open(sites []transport.Addr, open []bool) {
+	if s.opened.Load() == 0 {
+		clear(open)
+		return
 	}
+	s.mu.Lock()
+	now := time.Now()
+	for i, to := range sites {
+		open[i] = s.m[to].state(now) == BreakerOpen
+	}
+	s.mu.Unlock()
 }
 
 // states snapshots every tracked site's state.
@@ -204,17 +216,23 @@ func (s *breakerSet) states() map[transport.Addr]BreakerState {
 	now := time.Now()
 	out := make(map[transport.Addr]BreakerState, len(s.m))
 	for to, b := range s.m {
-		switch {
-		case !b.open:
-			out[to] = BreakerClosed
-		case now.Before(b.until) || b.probing:
-			out[to] = BreakerOpen
-		default:
-			out[to] = BreakerHalfOpen
-		}
+		out[to] = b.state(now)
 	}
 	s.mu.Unlock()
 	return out
+}
+
+// state derives the breaker's observable state at now; a nil breaker (a
+// site never called) is closed.
+func (b *breaker) state(now time.Time) BreakerState {
+	switch {
+	case b == nil || !b.open:
+		return BreakerClosed
+	case now.Before(b.until) || b.probing:
+		return BreakerOpen
+	default:
+		return BreakerHalfOpen
+	}
 }
 
 // jitter spreads d uniformly over [½d, 1½d) so synchronized failures don't

@@ -15,9 +15,19 @@ import (
 func TestBreakerStateMachine(t *testing.T) {
 	s := newBreakerSet(BreakerConfig{Threshold: 3, Cooldown: 10 * time.Millisecond, Seed: 7})
 	site := transport.Addr(1)
+	// open is the site's entry in a batch snapshot, which must agree with
+	// state at every step.
+	open := func() bool {
+		var out [2]bool
+		s.open([]transport.Addr{site, 2}, out[:])
+		if out[1] {
+			t.Fatal("never-called site reported open")
+		}
+		return out[0]
+	}
 
-	if st := s.state(site); st != BreakerClosed {
-		t.Fatalf("initial state = %v, want closed", st)
+	if st := s.state(site); st != BreakerClosed || open() {
+		t.Fatalf("initial state = %v, open %v; want closed", st, open())
 	}
 	// Two failures: still closed; a success resets the run.
 	s.failure(site)
@@ -30,8 +40,8 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 	// Third consecutive failure trips it.
 	s.failure(site)
-	if st := s.state(site); st != BreakerOpen {
-		t.Fatalf("state after threshold = %v, want open", st)
+	if st := s.state(site); st != BreakerOpen || !open() {
+		t.Fatalf("state after threshold = %v, open %v; want open", st, open())
 	}
 	if ok, _ := s.admit(site); ok {
 		t.Fatal("open breaker admitted a call")
@@ -40,8 +50,8 @@ func TestBreakerStateMachine(t *testing.T) {
 	// Cooldown (jittered into [5ms, 15ms)) expires: half-open, exactly one
 	// probe admitted.
 	time.Sleep(20 * time.Millisecond)
-	if st := s.state(site); st != BreakerHalfOpen {
-		t.Fatalf("state after cooldown = %v, want half-open", st)
+	if st := s.state(site); st != BreakerHalfOpen || open() {
+		t.Fatalf("state after cooldown = %v, open %v; want half-open", st, open())
 	}
 	ok, probe := s.admit(site)
 	if !ok || !probe {
@@ -53,8 +63,8 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	// Failed probe: reopen with a doubled cooldown.
 	s.failure(site)
-	if st := s.state(site); st != BreakerOpen {
-		t.Fatalf("state after failed probe = %v, want open", st)
+	if st := s.state(site); st != BreakerOpen || !open() {
+		t.Fatalf("state after failed probe = %v, open %v; want open", st, open())
 	}
 
 	// A released probe (context cancelled) leaves the breaker testable.
@@ -70,8 +80,11 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	// Successful probe closes the breaker.
 	s.success(site)
-	if st := s.state(site); st != BreakerClosed {
-		t.Fatalf("state after successful probe = %v, want closed", st)
+	if st := s.state(site); st != BreakerClosed || open() {
+		t.Fatalf("state after successful probe = %v, open %v; want closed", st, open())
+	}
+	if n := s.opened.Load(); n != 0 {
+		t.Errorf("%d breakers counted open after the only one closed", n)
 	}
 	if ok, probe := s.admit(site); !ok || probe {
 		t.Fatalf("closed admit = (%v, %v), want (true, false)", ok, probe)
@@ -154,6 +167,10 @@ func TestCallerBreakerFastFails(t *testing.T) {
 	if states[1] != BreakerOpen {
 		t.Errorf("BreakerStates()[1] = %v, want open", states[1])
 	}
+	open := make([]bool, 2)
+	if c.OpenBreakers([]transport.Addr{2, 1}, open); open[0] || !open[1] {
+		t.Errorf("OpenBreakers(2, 1) = %v, want [false true]", open)
+	}
 }
 
 // TestCallerForceProbe: ForceProbe bypasses an open breaker (the call really
@@ -182,6 +199,10 @@ func TestCallerBreakerDisabled(t *testing.T) {
 	}
 	if states := c.BreakerStates(); states != nil {
 		t.Errorf("BreakerStates = %v, want nil", states)
+	}
+	open := []bool{true}
+	if c.OpenBreakers([]transport.Addr{1}, open); open[0] {
+		t.Error("OpenBreakers reported an open breaker with breakers disabled")
 	}
 }
 

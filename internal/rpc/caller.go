@@ -1,7 +1,7 @@
 // Package rpc provides the request/response plumbing protocol clients use
 // over the message transport: request-ID allocation, a reply dispatcher,
-// and asynchronous calls with timer-driven reply deadlines. Both the
-// arbitrary-protocol client and the tree-quorum comparator client are
+// and asynchronous calls whose reply deadlines the owner enforces. Both
+// the arbitrary-protocol client and the tree-quorum comparator client are
 // built on it.
 package rpc
 
@@ -152,6 +152,17 @@ func (c *Caller) BreakerState(to transport.Addr) BreakerState {
 	return c.breakers.state(to)
 }
 
+// OpenBreakers sets open[i] to whether sites[i]'s breaker is open (state
+// BreakerOpen), under one lock acquisition for the whole slice; len(open)
+// must be len(sites). Every entry is false when breakers are disabled.
+func (c *Caller) OpenBreakers(sites []transport.Addr, open []bool) {
+	if c.breakers == nil {
+		clear(open)
+		return
+	}
+	c.breakers.open(sites, open)
+}
+
 // BreakerStates snapshots the breaker state of every site this caller has
 // tracked; nil when breakers are disabled.
 func (c *Caller) BreakerStates() map[transport.Addr]BreakerState {
@@ -180,7 +191,6 @@ func (c *Caller) Close() {
 	}
 	c.mu.Unlock()
 	for _, call := range inflight {
-		call.timer.Stop()
 		c.release(call)
 		call.deliver(ErrClosed)
 	}
@@ -197,12 +207,16 @@ type Call struct {
 	Tag  int // the caller's tag, passed to Go and returned untouched
 	Resp any
 	Err  error
+	// Deadline is when the call's reply is due: the earlier of the
+	// caller's timeout and the context's deadline, measured from Go. Calls
+	// started later never have an earlier deadline. Zero when Go settled
+	// the call before sending.
+	Deadline time.Time
 
 	c     *Caller
 	id    uint64
 	probe bool // the call is its site's half-open breaker probe
 	start time.Time
-	timer *time.Timer
 	done  chan<- *Call
 }
 
@@ -217,17 +231,24 @@ func (call *Call) deliver(err error) {
 // received, so it is always empty when reused.
 var callChanPool = sync.Pool{New: func() any { return make(chan *Call, 1) }}
 
-// Call sends one request and waits for its outcome or context
-// cancellation: the one-contact case of Go.
+// Call sends one request and waits for its outcome, its reply deadline or
+// context cancellation: the one-contact case of Go.
 func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request, opts ...CallOption) (any, error) {
 	done := callChanPool.Get().(chan *Call)
 	call := c.Go(ctx, to, req, 0, done, opts...)
+	// A call Go settled before sending has a zero Deadline: its timer
+	// fires at once and Expire leaves the outcome already on done alone.
+	timer := time.NewTimer(time.Until(call.Deadline))
 	select {
 	case <-done:
+	case <-timer.C:
+		c.Expire(call)
+		<-done
 	case <-ctx.Done():
 		c.Cancel(call, ctx.Err())
 		<-done
 	}
+	timer.Stop()
 	callChanPool.Put(done)
 	return call.Resp, call.Err
 }
@@ -236,12 +257,14 @@ func (c *Caller) Call(ctx context.Context, to transport.Addr, req Request, opts 
 // at once. Because the ID is stamped per call, one request value can be
 // fanned out to many sites. The outcome arrives on done exactly once; done
 // must have room for every call outstanding on it, so the dispatcher never
-// blocks delivering a reply. The reply deadline is a timer, not a parked
-// goroutine. With a circuit breaker armed, a call to a site whose breaker
-// is open fast-fails with ErrBreakerOpen (unless ForceProbe is given), and
-// every real outcome feeds the breaker. Go does not watch ctx for
-// cancellation — that is the caller's to do, through Cancel — but takes the
-// attempt's budget from its deadline.
+// blocks delivering a reply. Go arms no timer: the returned call carries
+// its reply deadline, and the owner calls Expire once that passes — one
+// timer of the owner's can watch any number of calls. With a circuit
+// breaker armed, a call to a site whose breaker is open fast-fails with
+// ErrBreakerOpen (unless ForceProbe is given), and every real outcome
+// feeds the breaker. Go does not watch ctx for cancellation — that is the
+// caller's to do, through Cancel — but takes the attempt's budget from its
+// deadline.
 func (c *Caller) Go(ctx context.Context, to transport.Addr, req Request, tag int, done chan<- *Call, opts ...CallOption) *Call {
 	call := &Call{To: to, Tag: tag, c: c, done: done}
 	var cc callConfig
@@ -276,9 +299,7 @@ func (c *Caller) Go(ctx context.Context, to transport.Addr, req Request, tag int
 		call.probe = probe
 	}
 	call.id = c.reqID.Add(1)
-	if c.callDur != nil {
-		call.start = time.Now()
-	}
+	call.start = time.Now()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -286,11 +307,8 @@ func (c *Caller) Go(ctx context.Context, to transport.Addr, req Request, tag int
 		call.deliver(ErrClosed)
 		return call
 	}
+	call.Deadline = call.start.Add(attempt)
 	c.pending[call.id] = call
-	// The timer closes over the ID, not the call, so a stopped timer
-	// lingering in the runtime's heap pins no reply.
-	id := call.id
-	call.timer = time.AfterFunc(attempt, func() { c.expire(id) })
 	c.mu.Unlock()
 
 	c.calls.Inc()
@@ -324,10 +342,9 @@ func (c *Caller) Cancel(call *Call, err error) {
 	}
 }
 
-// claim takes call id out of the pending table and stops its timer,
-// returning nil when the call is no longer in flight. Exactly one of the
-// dispatcher, the timer, Cancel and Close wins the claim and delivers the
-// outcome.
+// claim takes call id out of the pending table, returning nil when the
+// call is no longer in flight. Exactly one of the dispatcher, Expire,
+// Cancel and Close wins the claim and delivers the outcome.
 func (c *Caller) claim(id uint64) *Call {
 	c.mu.Lock()
 	call, ok := c.pending[id]
@@ -335,17 +352,15 @@ func (c *Caller) claim(id uint64) *Call {
 		delete(c.pending, id)
 	}
 	c.mu.Unlock()
-	if ok {
-		call.timer.Stop()
-	}
 	return call
 }
 
-// expire is call id's reply timer: a call still in flight when it fires
-// times out.
-func (c *Caller) expire(id uint64) {
-	call := c.claim(id)
-	if call == nil {
+// Expire times out a call still in flight: its owner calls it once the
+// call's Deadline has passed. The timeout counts as a breaker failure and
+// is delivered as an error wrapping ErrTimeout. A call whose outcome is
+// already decided is left alone.
+func (c *Caller) Expire(call *Call) {
+	if c.claim(call.id) == nil {
 		return
 	}
 	c.timeouts.Inc()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"arbor/internal/obs"
 	"arbor/internal/replica"
 	"arbor/internal/transport"
 )
@@ -19,7 +20,7 @@ func echoServer(ep *transport.Endpoint, site int) {
 	}
 }
 
-func newPair(t *testing.T, timeout time.Duration) (*Caller, *transport.Network) {
+func newPair(t *testing.T, timeout time.Duration, opts ...Option) (*Caller, *transport.Network) {
 	t.Helper()
 	n := transport.NewNetwork()
 	srv, err := n.Register(1)
@@ -31,7 +32,7 @@ func newPair(t *testing.T, timeout time.Duration) (*Caller, *transport.Network) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCaller(cli, timeout)
+	c := NewCaller(cli, timeout, opts...)
 	t.Cleanup(func() {
 		c.Close()
 		n.Close()
@@ -102,38 +103,86 @@ func TestCallUnknownDestination(t *testing.T) {
 
 // TestGoDeliversEveryOutcomeOnce: a reply, a timeout, a cancellation and
 // Close each settle an asynchronous call exactly once, on the channel it
-// was started with and under the tag it was given.
+// was started with and under the tag it was given; a late Expire or
+// Cancel of a settled call delivers nothing more. Go arms no timer, so the
+// timeout case expires the call at its Deadline the way a collector does.
+// A synchronous Call times out on its own timer, also exactly once.
 func TestGoDeliversEveryOutcomeOnce(t *testing.T) {
-	c, _ := newPair(t, 30*time.Millisecond)
-	ctx := context.Background()
-	done := make(chan *Call, 4)
-	answered := c.Go(ctx, 1, replica.PingReq{}, 0, done)
-	c.Go(ctx, 1, replica.VersionReq{Key: "k"}, 1, done) // dropped by the echo server
-	c.Cancel(c.Go(ctx, 1, replica.VersionReq{Key: "k"}, 2, done), context.Canceled)
-	got := make(map[int]*Call)
-	for i := 0; i < 3; i++ {
-		call := <-done
-		got[call.Tag] = call
+	const timeout = 30 * time.Millisecond
+	answered := replica.PingReq{}           // the echo server replies
+	dropped := replica.VersionReq{Key: "k"} // the echo server never replies
+	expireAtDeadline := func(c *Caller, call *Call) {
+		time.Sleep(time.Until(call.Deadline))
+		c.Expire(call)
 	}
-	c.Go(ctx, 1, replica.VersionReq{Key: "k"}, 3, done)
-	c.Close()
-	call := <-done
-	got[call.Tag] = call
-	c.Cancel(answered, context.Canceled) // already settled: no second outcome
+	cancel := func(c *Caller, call *Call) { c.Cancel(call, context.Canceled) }
+	cases := []struct {
+		name     string
+		req      Request
+		settle   func(c *Caller, call *Call) // nil: the reply settles it
+		late     func(c *Caller, call *Call) // after the outcome arrived
+		want     error                       // nil: the ping reply
+		timeouts uint64
+	}{
+		{name: "reply", req: answered, late: cancel},
+		{name: "expire after reply", req: answered, late: (*Caller).Expire},
+		{name: "timeout", req: dropped, settle: expireAtDeadline, late: (*Caller).Expire, want: ErrTimeout, timeouts: 1},
+		{name: "cancel after timeout", req: dropped, settle: expireAtDeadline, late: cancel, want: ErrTimeout, timeouts: 1},
+		{name: "cancel", req: dropped, settle: cancel, late: cancel, want: context.Canceled},
+		{name: "expire after cancel", req: dropped, settle: cancel, late: (*Caller).Expire, want: context.Canceled},
+		{name: "close", req: dropped, settle: func(c *Caller, _ *Call) { c.Close() }, late: (*Caller).Expire, want: ErrClosed},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := newPair(t, timeout, WithMetrics(obs.NewRegistry()))
+			done := make(chan *Call, 2) // room for a second outcome, so settling twice is seen, not blocked
+			call := c.Go(context.Background(), 1, tc.req, 7, done)
+			if call.Deadline.IsZero() || time.Until(call.Deadline) > timeout {
+				t.Fatalf("Deadline = %v, want within %v", call.Deadline, timeout)
+			}
+			if tc.settle != nil {
+				tc.settle(c, call)
+			}
+			got := <-done
+			tc.late(c, call)
+			if got != call || got.Tag != 7 {
+				t.Fatalf("outcome for call %p tag %d, want %p tag 7", got, got.Tag, call)
+			}
+			if tc.want == nil {
+				if pong, ok := got.Resp.(replica.PingResp); !ok || got.Err != nil || pong.Site != 1 {
+					t.Errorf("reply = %#v, %v", got.Resp, got.Err)
+				}
+			} else if !errors.Is(got.Err, tc.want) {
+				t.Errorf("outcome %v, want %v", got.Err, tc.want)
+			}
+			if n := c.timeouts.Value(); n != tc.timeouts {
+				t.Errorf("timeouts = %d, want %d", n, tc.timeouts)
+			}
+			select {
+			case <-done:
+				t.Error("call settled twice")
+			case <-time.After(2 * timeout): // past the call's reply deadline
+			}
+		})
+	}
 
-	if pong, ok := got[0].Resp.(replica.PingResp); !ok || got[0].Err != nil || pong.Site != 1 {
-		t.Errorf("answered call = %#v, %v", got[0].Resp, got[0].Err)
-	}
-	for tag, want := range map[int]error{1: ErrTimeout, 2: context.Canceled, 3: ErrClosed} {
-		if got[tag] == nil || !errors.Is(got[tag].Err, want) {
-			t.Errorf("call %d: outcome %+v, want %v", tag, got[tag], want)
+	t.Run("synchronous call times out", func(t *testing.T) {
+		c, _ := newPair(t, timeout, WithMetrics(obs.NewRegistry()))
+		start := time.Now()
+		_, err := c.Call(context.Background(), 1, dropped)
+		if !errors.Is(err, ErrTimeout) {
+			t.Fatalf("err = %v, want ErrTimeout", err)
 		}
-	}
-	select {
-	case extra := <-done:
-		t.Errorf("call %d settled twice", extra.Tag)
-	case <-time.After(60 * time.Millisecond): // past every call's reply timer
-	}
+		if waited := time.Since(start); waited < timeout {
+			t.Errorf("timed out after %v, before the %v deadline", waited, timeout)
+		}
+		c.mu.Lock()
+		pending := len(c.pending)
+		c.mu.Unlock()
+		if pending != 0 || c.timeouts.Value() != 1 {
+			t.Errorf("after one timed-out Call: %d pending, %d timeouts; want 0, 1", pending, c.timeouts.Value())
+		}
+	})
 }
 
 func TestFireAndForgetSend(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"arbor/internal/wire"
@@ -189,7 +190,10 @@ func WithWireCodec(c wire.Codec) Option { return codecOption{c: c} }
 // partition/congestion drops. Delayed counts messages whose delivery was
 // deferred by latency, jitter or per-link delay. WireBytes accumulates the
 // encoded size of every message when a codec is armed (WithWireCodec), and
-// stays zero otherwise.
+// stays zero otherwise. Each counter is read atomically, but not all of
+// them at one instant: while messages are in flight a snapshot can show a
+// send before its delivery or drop, and Sent == Delivered + Dropped holds
+// once the network is quiet.
 type Stats struct {
 	Sent      uint64
 	Delivered uint64
@@ -198,16 +202,31 @@ type Stats struct {
 	WireBytes uint64
 }
 
-// Network is an in-memory message network.
+// Network is an in-memory message network. Its routing state — the
+// endpoint table and the partition groups — is an immutable snapshot that
+// Register, Partition and Heal replace whole, so a send reads it, counts
+// itself and delivers without taking a lock. The network mutex guards only
+// the seeded RNG (drop and jitter draws happen in send order, so a seeded
+// run replays), the scheduling of delayed deliveries against Close, and
+// replacing the snapshot.
 type Network struct {
-	mu        sync.Mutex
-	opts      options
+	mu   sync.Mutex
+	opts options
+	// immediate is set when no loss, latency, jitter or per-link delay is
+	// configured: every send is delivered at once, without the mutex.
+	immediate bool
 	rng       *rand.Rand
+	routes    atomic.Pointer[routes]
+	closed    atomic.Bool
+	pending   sync.WaitGroup
+
+	sent, delivered, dropped, delayed, wireBytes atomic.Uint64
+}
+
+// routes is one published routing snapshot; it is never modified.
+type routes struct {
 	endpoints map[Addr]*Endpoint
 	groups    map[Addr]int // partition group per address; absent = group 0
-	stats     Stats
-	closed    bool
-	pending   sync.WaitGroup
 }
 
 // NewNetwork creates a network. By default delivery is immediate, lossless
@@ -217,12 +236,13 @@ func NewNetwork(opts ...Option) *Network {
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
-	return &Network{
+	n := &Network{
 		opts:      o,
+		immediate: o.dropProb == 0 && o.latency == 0 && o.jitter == 0 && o.linkFn == nil,
 		rng:       rand.New(rand.NewSource(o.seed)),
-		endpoints: make(map[Addr]*Endpoint),
-		groups:    make(map[Addr]int),
 	}
+	n.routes.Store(&routes{endpoints: map[Addr]*Endpoint{}})
+	return n
 }
 
 // Endpoint is one attachment point on the network.
@@ -243,55 +263,70 @@ func (n *Network) Dial(addr Addr) (Conn, error) { return n.Register(addr) }
 func (n *Network) Register(addr Addr) (*Endpoint, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
+	if n.closed.Load() {
 		return nil, ErrClosed
 	}
-	if _, ok := n.endpoints[addr]; ok {
+	rt := n.routes.Load()
+	if _, ok := rt.endpoints[addr]; ok {
 		return nil, fmt.Errorf("%w: %d", ErrDuplicateAddr, addr)
 	}
 	ep := &Endpoint{addr: addr, net: n, in: make(chan Message, n.opts.bufferSize)}
-	n.endpoints[addr] = ep
+	endpoints := make(map[Addr]*Endpoint, len(rt.endpoints)+1)
+	for a, e := range rt.endpoints {
+		endpoints[a] = e
+	}
+	endpoints[addr] = ep
+	n.routes.Store(&routes{endpoints: endpoints, groups: rt.groups})
 	return ep, nil
 }
 
 // Partition splits the network into the given groups of addresses; messages
 // crossing group boundaries are dropped. Addresses not listed form an
-// implicit extra group. Heal() removes the partition.
+// implicit extra group. Heal() removes the partition. A send that starts
+// after Partition returns sees the new groups.
 func (n *Network) Partition(groups ...[]Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.groups = make(map[Addr]int)
+	g := make(map[Addr]int)
 	for gi, group := range groups {
 		for _, a := range group {
-			n.groups[a] = gi + 1
+			g[a] = gi + 1
 		}
 	}
+	n.setGroups(g)
 }
 
 // Heal removes any partition.
-func (n *Network) Heal() {
+func (n *Network) Heal() { n.setGroups(nil) }
+
+// setGroups publishes a snapshot with the given partition groups.
+func (n *Network) setGroups(groups map[Addr]int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.groups = make(map[Addr]int)
+	n.routes.Store(&routes{endpoints: n.routes.Load().endpoints, groups: groups})
 }
 
-// Stats returns a snapshot of the network counters.
+// Stats returns the network counters (see Stats for how they relate while
+// messages are in flight).
 func (n *Network) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
+	return Stats{
+		Sent:      n.sent.Load(),
+		Delivered: n.delivered.Load(),
+		Dropped:   n.dropped.Load(),
+		Delayed:   n.delayed.Load(),
+		WireBytes: n.wireBytes.Load(),
+	}
 }
 
-// Close stops the network. In-flight delayed messages are waited for (they
-// are dropped if their destination buffer is gone). Further sends fail with
-// ErrClosed.
+// Close stops the network: every send that starts after Close returns
+// fails with ErrClosed, and Close waits for the delayed messages already
+// scheduled to be delivered (or dropped, if their destination's inbox is
+// full).
 func (n *Network) Close() {
 	n.mu.Lock()
-	if n.closed {
+	if n.closed.Load() {
 		n.mu.Unlock()
 		return
 	}
-	n.closed = true
+	n.closed.Store(true)
 	n.mu.Unlock()
 	n.pending.Wait()
 }
@@ -323,27 +358,37 @@ func (e *Endpoint) Send(to Addr, payload any) error {
 			return fmt.Errorf("transport: codec round-trip to %d: %w", to, err)
 		}
 	}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	if n.closed.Load() {
 		return ErrClosed
 	}
-	n.stats.Sent++
-	n.stats.WireBytes += uint64(wireBytes)
-	dst, ok := n.endpoints[to]
+	n.sent.Add(1)
+	if wireBytes > 0 {
+		n.wireBytes.Add(uint64(wireBytes))
+	}
+	rt := n.routes.Load()
+	dst, ok := rt.endpoints[to]
 	if !ok {
-		n.stats.Dropped++
-		n.mu.Unlock()
+		n.dropped.Add(1)
 		return fmt.Errorf("%w: %d", ErrUnknownAddr, to)
 	}
-	if n.groups[e.addr] != n.groups[to] {
-		n.stats.Dropped++
-		n.mu.Unlock()
+	if rt.groups[e.addr] != rt.groups[to] {
+		n.dropped.Add(1)
 		return nil // partitioned: silently lost, like a real link
 	}
-	if n.opts.dropProb > 0 && n.rng.Float64() < n.opts.dropProb {
-		n.stats.Dropped++
+	msg := Message{From: e.addr, To: to, Payload: payload}
+	if n.immediate {
+		n.deliver(dst, msg)
+		return nil
+	}
+	n.mu.Lock()
+	if n.closed.Load() { // closed since the check above: nothing may be scheduled now
 		n.mu.Unlock()
+		n.dropped.Add(1)
+		return ErrClosed
+	}
+	if n.opts.dropProb > 0 && n.rng.Float64() < n.opts.dropProb {
+		n.mu.Unlock()
+		n.dropped.Add(1)
 		return nil
 	}
 	delay := n.opts.latency
@@ -353,31 +398,28 @@ func (e *Endpoint) Send(to Addr, payload any) error {
 	if n.opts.linkFn != nil {
 		delay += n.opts.linkFn(e.addr, to)
 	}
-	msg := Message{From: e.addr, To: to, Payload: payload}
 	if delay <= 0 {
-		n.deliverLocked(dst, msg)
 		n.mu.Unlock()
+		n.deliver(dst, msg)
 		return nil
 	}
-	n.stats.Delayed++
 	n.pending.Add(1)
 	n.mu.Unlock()
+	n.delayed.Add(1)
 	time.AfterFunc(delay, func() {
 		defer n.pending.Done()
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		n.deliverLocked(dst, msg)
+		n.deliver(dst, msg)
 	})
 	return nil
 }
 
-// deliverLocked places the message in the destination buffer or drops it if
-// the buffer is full. Callers hold n.mu.
-func (n *Network) deliverLocked(dst *Endpoint, msg Message) {
+// deliver places the message in the destination's inbox, or drops it if
+// the inbox is full.
+func (n *Network) deliver(dst *Endpoint, msg Message) {
 	select {
 	case dst.in <- msg:
-		n.stats.Delivered++
+		n.delivered.Add(1)
 	default:
-		n.stats.Dropped++
+		n.dropped.Add(1)
 	}
 }
